@@ -5,6 +5,7 @@ from .kernels import (
     BRENT_KUNG,
     BRENT_KUNG_8,
     SERIAL,
+    ContractError,
     ScanKernel,
     get_kernel,
     scan_brent_kung,

@@ -129,9 +129,11 @@ def _cmd_render(args) -> int:
     if args.trace:
         with open(args.trace) as f:
             history = tracing.trace_from_json(f.read())
-        n = args.n if args.n is not None else max(
-            (max(max(t.reads, default=0), t.write) for t in history), default=0
-        )
+        top = [max(t.reads + (t.write,)) for t in history]
+        n = args.n if args.n is not None else max(top, default=0)
+        for ordinal, k in enumerate(top, start=1):
+            if k > n:
+                raise ValueError(f"trace row {ordinal} uses index {k}, outside 1..{n}")
     else:
         if args.kernel is None or args.n is None:
             raise UsageError("render requires --trace or both --kernel and --n")
@@ -163,11 +165,16 @@ def _parse_p_range(spec: str) -> list[int]:
     if ":" in spec:
         lo, _, hi = spec.partition(":")
         p, out = int(lo), []
+        if p < 2:  # outside speedup_model's domain; doubling from p <= 0 never ends
+            raise UsageError(f"--p-range {spec!r}: p must be >= 2")
         while p <= int(hi):
             out.append(p)
             p *= 2
         return out
-    return [int(t) for t in spec.split(",") if t]
+    out = [int(t) for t in spec.split(",") if t]
+    if any(p < 2 for p in out):
+        raise UsageError(f"--p-range {spec!r}: p must be >= 2")
+    return out
 
 
 def _cmd_bench(args) -> int:

@@ -5,15 +5,20 @@ Every kernel is an in-place instruction stream of the single update shape
     store.put(i, op(store.get(j), store.get(i)))   with j < i
 
 so the same code computes concrete scans, records access traces, or runs
-in parallel depending on what the store hands back.
+in parallel depending on what the store hands back. Because the stream does
+not depend on the values, a ScanKernel records it once per length as a plan
+and replays that plan on plain ListStore data.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Optional
 
-from .stores import ScanStore
+from .ops import AssocOp
+from .stores import ListStore, ScanStore
 
 
 def iceil_log2(n: int) -> int:
@@ -66,35 +71,9 @@ def scan_brent_kung(store: ScanStore, op: Callable) -> ScanStore:
     return store
 
 
-class _ScheduleStore:
-    """Minimal store that records (source, target) pairs instead of values.
-
-    Used to extract the chunk-level Brent-Kung schedule without pulling in
-    the full tracing machinery.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self._reads: list[int] = []
-        self.pairs: list[tuple[int, int]] = []
-
-    def __len__(self) -> int:
-        return self.n
-
-    def get(self, i: int):
-        self._reads.append(i)
-        return None
-
-    def put(self, i: int, v) -> None:
-        self.pairs.append((self._reads[0], i))
-        self._reads.clear()
-
-
 def chunk_schedule(nchunks: int) -> list[tuple[int, int]]:
     """(left, target) chunk pairs in the order scan_brent_kung combines them."""
-    sched = _ScheduleStore(nchunks)
-    scan_brent_kung(sched, lambda a, b: None)
-    return sched.pairs
+    return [(a + 1, w + 1) for a, _, w in _updates(_plan(BRENT_KUNG, nchunks))]
 
 
 def scan_then_fan(store: ScanStore, op: Callable, chunks: int) -> ScanStore:
@@ -123,19 +102,148 @@ def scan_then_fan(store: ScanStore, op: Callable, chunks: int) -> ScanStore:
     return store
 
 
-@dataclass(frozen=True)
+class ContractError(Exception):
+    """A kernel broke the store contract: between two puts it must make
+    exactly two reads, and put the operator applied to them in read order."""
+
+
+_PLAN_CACHE_SIZE = 64
+_FIRST, _SECOND = object(), object()  # what a recorded get hands to the kernel
+_APPLIED = object()  # what the recording operator returns
+
+# A plan is a tuple of run-length segments (a, b, w, da, db, dw, count) over
+# 0-based positions: update k of a segment is d[w + k*dw] = op(d[a + k*da],
+# d[b + k*db]), for k in range(count), and segments run in kernel order.
+Plan = tuple
+
+
+def _recording_op(x, y) -> object:
+    if x is _FIRST and y is _SECOND:
+        return _APPLIED
+    raise ContractError("the operator must combine the update's two reads, in read order")
+
+
+class _PlanRecorder:
+    """Store that checks the contract and records the kernel's updates as a plan.
+
+    An update (a, b, w) has the key (a*r + b)*r + w. The key is linear, and
+    with r > 3n it is one-to-one on every triple that an update, or the next
+    term of a progression of updates, can be. So an update extends the open
+    segment exactly when its key is the last key plus the segment's key step.
+    """
+
+    __slots__ = ("n", "radix", "first", "second", "segments", "count", "next_key",
+                 "key_step")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.radix = 3 * n + 1
+        self.first = self.second = None  # the pending reads
+        self.segments: list[list[int]] = []  # 1-based; closed ones end with a count
+        self.count = 0  # updates in the open segment
+        self.next_key: Optional[int] = None
+        self.key_step = 0
+
+    def __len__(self) -> int:
+        return self.n
+
+    def get(self, i: int) -> object:
+        if not 0 < i <= self.n:
+            raise IndexError(f"index {i} out of range 1..{self.n}")
+        if self.first is None:
+            self.first = i
+            return _FIRST
+        if self.second is None:
+            self.second = i
+            return _SECOND
+        raise ContractError(f"get({i}) is a third read before a put")
+
+    def put(self, i: int, v) -> None:
+        if not 0 < i <= self.n:
+            raise IndexError(f"index {i} out of range 1..{self.n}")
+        b = self.second
+        if v is not _APPLIED or b is None:
+            raise ContractError(f"put({i}) does not store the operator applied "
+                                "to the two reads since the previous put")
+        a, r = self.first, self.radix
+        self.first = self.second = None
+        key = (a * r + b) * r + i
+        if key == self.next_key:
+            self.next_key = key + self.key_step
+            self.count += 1
+        else:
+            self._start(a, b, i, key)
+
+    def _start(self, a: int, b: int, w: int, key: int) -> None:
+        segments, r = self.segments, self.radix
+        if self.count == 1:  # a segment's second update fixes its steps
+            a0, b0, w0 = segments[-1][:3]
+            segments[-1][3:] = a - a0, b - b0, w - w0
+            self.key_step = key - (a0 * r + b0) * r - w0
+            self.next_key, self.count = key + self.key_step, 2
+        else:
+            if segments:
+                segments[-1].append(self.count)
+            segments.append([a, b, w, 0, 0, 0])
+            self.next_key, self.count = None, 1
+
+    def plan(self) -> Plan:
+        if self.first is not None:
+            raise ContractError("the kernel ended with reads that no put consumed")
+        if self.segments:
+            self.segments[-1].append(self.count)
+        return tuple((a - 1, b - 1, w - 1, da, db, dw, count)
+                     for a, b, w, da, db, dw, count in self.segments)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(kernel: "ScanKernel", n: int) -> Plan:
+    """The kernel's update stream at length n, recorded once per (kernel, n)."""
+    recorder = _PlanRecorder(n)
+    kernel.fn(recorder, _recording_op)
+    return recorder.plan()
+
+
+def _progression(start: int, step: int, count: int) -> Iterable[int]:
+    return range(start, start + step * count, step) if step else repeat(start, count)
+
+
+def _updates(plan: Plan) -> Iterator[tuple[int, int, int]]:
+    """The plan's (a, b, w) updates, 0-based, in kernel order."""
+    for a, b, w, da, db, dw, count in plan:
+        yield from zip(_progression(a, da, count), _progression(b, db, count),
+                       _progression(w, dw, count))
+
+
+def _replay(plan: Plan, data: list, f: Callable) -> None:
+    for a, b, w, da, db, dw, count in plan:
+        for j, k, i in zip(_progression(a, da, count), _progression(b, db, count),
+                           _progression(w, dw, count)):
+            data[i] = f(data[j], data[k])
+
+
+@dataclass(frozen=True, eq=False)
 class ScanKernel:
-    """A named scan kernel: apply(store, op) mutates and returns the store."""
+    """A named scan kernel: kernel(store, op) mutates and returns the store.
+
+    On a ListStore (not a subclass) the call replays the kernel's plan for
+    len(store), cached per (kernel object, n), instead of running fn; the
+    result is the same because kernels have no value-dependent control flow.
+    Every other store gets fn's own get/put stream. Kernels compare and hash
+    by identity, so fn need not be hashable.
+    """
 
     name: str
     fn: Callable[[ScanStore, Callable], ScanStore]
     fixed_length: Optional[int] = None
 
-    def apply(self, store: ScanStore, op: Callable) -> ScanStore:
-        return self.fn(store, op)
-
     def __call__(self, store: ScanStore, op: Callable) -> ScanStore:
-        return self.fn(store, op)
+        if type(store) is not ListStore:
+            return self.fn(store, op)
+        # AssocOp.__call__ only forwards to fn; skipping it saves a frame per update.
+        f = op.fn if type(op) is AssocOp else op
+        _replay(_plan(self, len(store)), store._data, f)
+        return store
 
 
 SERIAL = ScanKernel("serial", scan_serial)
@@ -143,7 +251,9 @@ BRENT_KUNG = ScanKernel("brent-kung", scan_brent_kung)
 BRENT_KUNG_8 = ScanKernel("brent-kung-8", scan_brent_kung_8, fixed_length=8)
 
 
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def scan_then_fan_kernel(chunks: int) -> ScanKernel:
+    """One kernel object per chunk count, so its cached plans are found again."""
     return ScanKernel(
         f"scan-then-fan[{chunks}]",
         lambda store, op, c=chunks: scan_then_fan(store, op, c),

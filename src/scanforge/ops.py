@@ -20,9 +20,6 @@ class AssocOp:
     fn: Callable[[Any, Any], Any]
     identity: Any = None
 
-    def combine(self, a, b):
-        return self.fn(a, b)
-
     def __call__(self, a, b):
         return self.fn(a, b)
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, IO, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, IO, Iterable, Optional
 
-from .kernels import ScanKernel
+if TYPE_CHECKING:
+    from .kernels import ScanKernel
 
 
 class _Unit:
@@ -148,8 +149,22 @@ def trace_to_json(history: TraceHistory) -> str:
 
 
 def trace_from_json(text: str) -> TraceHistory:
+    """Parse trace_to_json output; a malformed row raises ValueError naming it."""
     rows = json.loads(text)
-    return [Transaction(tuple(r["reads"]), r["write"]) for r in rows]
+    if not isinstance(rows, list):
+        raise ValueError("a trace is a JSON list of rows")
+    history = []
+    for ordinal, row in enumerate(rows, start=1):
+        try:
+            t = Transaction(tuple(row["reads"]), row["write"])
+        except (KeyError, TypeError):
+            raise ValueError(f"trace row {ordinal} needs a 'reads' list and a "
+                             f"'write': {row!r}") from None
+        if not all(type(k) is int and k >= 1 for k in t.reads + (t.write,)):
+            raise ValueError(f"trace row {ordinal} has an index that is not an "
+                             f"integer >= 1: {row!r}")
+        history.append(t)
+    return history
 
 
 def replay(history: Iterable[Transaction], values: list, op: Callable) -> list:

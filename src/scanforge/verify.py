@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .kernels import ScanKernel
+from . import kernels  # the module, not its names: kernels imports ops, ops this
 from .stores import ListStore
 from .tracing import Transaction, infer_depths, run_traced
 
@@ -132,7 +132,7 @@ class ParallelReport:
         )
 
 
-def verify_serial(kernel: ScanKernel | Callable, n: int) -> VerificationReport:
+def verify_serial(kernel: kernels.ScanKernel | Callable, n: int) -> VerificationReport:
     """Serial correctness: scan the unit ranges and demand [1:k for k=1..n].
 
     first_top is the 1-based ordinal of the first operator application that
@@ -153,7 +153,7 @@ def verify_serial(kernel: ScanKernel | Callable, n: int) -> VerificationReport:
     kernel(store, counting_plus)
     output = store.to_list()
     expected = expected_intervals(n)
-    name = kernel.name if isinstance(kernel, ScanKernel) else getattr(
+    name = kernel.name if isinstance(kernel, kernels.ScanKernel) else getattr(
         kernel, "__name__", "kernel"
     )
     ok = output == expected and state["first_top"] is None
@@ -178,13 +178,13 @@ def race_check_history(history: list[Transaction]) -> RaceReport:
     return RaceReport(True)
 
 
-def verify_race_free(kernel: ScanKernel | Callable, n: int) -> RaceReport:
+def verify_race_free(kernel: kernels.ScanKernel | Callable, n: int) -> RaceReport:
     if n < 1:
         raise ValueError("n must be >= 1")
     return race_check_history(run_traced(kernel, n))
 
 
-def verify_parallel(kernel: ScanKernel | Callable, n: int) -> ParallelReport:
+def verify_parallel(kernel: kernels.ScanKernel | Callable, n: int) -> ParallelReport:
     """Parallel correctness = serial correctness + race-free staging."""
     serial = verify_serial(kernel, n)
     races = verify_race_free(kernel, n)

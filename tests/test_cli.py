@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from scanforge.cli import main, parse_elements
+from scanforge.cli import UsageError, _parse_p_range, main, parse_elements
 from scanforge.verify import IDENTITY, Range
 
 
@@ -128,3 +128,31 @@ def test_parse_elements_interval():
 
 def test_usage_error_on_missing_input(capsys):
     assert main(["run", "--kernel", "serial", "--op", "add"]) == 2
+
+
+def test_p_range_doubles_from_lo_to_hi():
+    assert _parse_p_range("4:32") == [4, 8, 16, 32]
+    assert _parse_p_range("4,8") == [4, 8]
+
+
+@pytest.mark.parametrize("spec", ["0:8", "-4:8", "1:8", "0,4", "4,-2"])
+def test_p_range_rejects_p_below_two(spec):
+    # A lower bound <= 0 used to double forever; the parser must refuse it.
+    with pytest.raises(UsageError, match="p must be >= 2"):
+        _parse_p_range(spec)
+
+
+@pytest.mark.parametrize("rows, n, complaint", [
+    ([{"reads": [1, 2], "write": 2}, {"reads": [2, 3]}], None, "row 2 needs"),
+    ([{"reads": [1, 2], "write": 2}, {"reads": [8, 9], "write": 9}], 8,
+     "row 2 uses index 9, outside 1..8"),
+    ([{"reads": [0, 1], "write": 1}], None, "row 1 has an index"),
+    ({"reads": [1, 2], "write": 2}, None, "JSON list"),
+])
+def test_render_rejects_malformed_trace(tmp_path, capsys, rows, n, complaint):
+    trace = tmp_path / "t.json"
+    trace.write_text(json.dumps(rows))
+    argv = ["render", "--trace", str(trace), "--out", str(tmp_path / "t.svg")]
+    assert main(argv + (["--n", str(n)] if n else [])) == 2
+    assert complaint in capsys.readouterr().err
+    assert not (tmp_path / "t.svg").exists()
