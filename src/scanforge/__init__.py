@@ -15,7 +15,7 @@ from .kernels import (
     scan_then_fan_kernel,
 )
 from .ops import AssocOp, Chunk, builtin_ops, check_associative, chunk_combine
-from .render import Diagram, Gate, emit_svg, layout, svg_string
+from .render import Diagram, Gate, layout, svg_string
 from .runtime import (
     Cluster,
     Future,

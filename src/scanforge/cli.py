@@ -170,10 +170,12 @@ def _parse_p_range(spec: str) -> list[int]:
         while p <= int(hi):
             out.append(p)
             p *= 2
-        return out
-    out = [int(t) for t in spec.split(",") if t]
-    if any(p < 2 for p in out):
-        raise UsageError(f"--p-range {spec!r}: p must be >= 2")
+    else:
+        out = [int(t) for t in spec.split(",") if t]
+        if any(p < 2 for p in out):
+            raise UsageError(f"--p-range {spec!r}: p must be >= 2")
+    if not out:
+        raise UsageError(f"--p-range {spec!r} names no p")
     return out
 
 

@@ -196,12 +196,17 @@ class _PlanRecorder:
                      for a, b, w, da, db, dw, count in self.segments)
 
 
+def _record(fn: Callable, n: int) -> Plan:
+    """fn's update stream at length n, checked against the store contract."""
+    recorder = _PlanRecorder(n)
+    fn(recorder, _recording_op)
+    return recorder.plan()
+
+
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(kernel: "ScanKernel", n: int) -> Plan:
     """The kernel's update stream at length n, recorded once per (kernel, n)."""
-    recorder = _PlanRecorder(n)
-    kernel.fn(recorder, _recording_op)
-    return recorder.plan()
+    return _record(kernel.fn, n)
 
 
 def _progression(start: int, step: int, count: int) -> Iterable[int]:
@@ -215,7 +220,9 @@ def _updates(plan: Plan) -> Iterator[tuple[int, int, int]]:
                        _progression(w, dw, count))
 
 
-def _replay(plan: Plan, data: list, f: Callable) -> None:
+def _replay(plan: Plan, data: list, op: Callable) -> None:
+    # AssocOp.__call__ only forwards to fn; skipping it saves a frame per update.
+    f = op.fn if type(op) is AssocOp else op
     for a, b, w, da, db, dw, count in plan:
         for j, k, i in zip(_progression(a, da, count), _progression(b, db, count),
                            _progression(w, dw, count)):
@@ -240,9 +247,7 @@ class ScanKernel:
     def __call__(self, store: ScanStore, op: Callable) -> ScanStore:
         if type(store) is not ListStore:
             return self.fn(store, op)
-        # AssocOp.__call__ only forwards to fn; skipping it saves a frame per update.
-        f = op.fn if type(op) is AssocOp else op
-        _replay(_plan(self, len(store)), store._data, f)
+        _replay(_plan(self, len(store)), store._data, op)
         return store
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import Iterable
 
 from .tracing import Transaction, infer_depths
 
@@ -113,10 +113,6 @@ def svg_string(d: Diagram, viewport: tuple[int, int] = (600, 400)) -> str:
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def emit_svg(d: Diagram, out: IO[str], viewport: tuple[int, int] = (600, 400)) -> None:
-    out.write(svg_string(d, viewport))
 
 
 def svg_equal(a: str, b: str, tol: float = 1e-3) -> bool:

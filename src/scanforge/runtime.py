@@ -10,11 +10,13 @@ measured speedup follow the (p-1) / tree-depth model.
 
 Workers are in-process threads with FIFO task queues, not OS processes;
 the blocking-fetch contract, not the transport, is what matters here. A
-virtual-clock mode computes exact tick counts without threads.
+virtual-clock mode reads exact tick counts from the kernel's plan without
+threads.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import threading
@@ -24,7 +26,7 @@ from fractions import Fraction
 from queue import Queue
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .kernels import ScanKernel
+from .kernels import _PLAN_CACHE_SIZE, Plan, ScanKernel, _plan, _record, _replay, _updates
 
 WORKERS_ENV = "SCANFORGE_WORKERS"
 
@@ -152,6 +154,10 @@ class Cluster:
             w.queue.put(_STOP)
         for w in self.workers:
             w.thread.join()
+        # Each task and its output future refer to each other; unlinking them
+        # frees a finished run by reference counting, not at the next full GC.
+        for task in self.tasks:
+            task.out._node = None
 
     def __enter__(self):
         return self
@@ -277,7 +283,7 @@ def run_parallel_detailed(
 # --- Task graphs and the speedup model -----------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskNode:
     ordinal: int
     left_id: int
@@ -344,15 +350,40 @@ class VirtualRun:
     graph: TaskGraph
 
 
-class _VirtualCell:
-    __slots__ = ("id", "value", "owner", "ready", "ordinal")
+def _kernel_plan(kernel: ScanKernel | Callable, n: int) -> Plan:
+    # A ScanKernel's plan is cached per (kernel, n); a plain callable is recorded.
+    return _plan(kernel, n) if isinstance(kernel, ScanKernel) else _record(kernel, n)
 
-    def __init__(self, fid, value, owner, ready=0, ordinal=None):
-        self.id = fid
-        self.value = value
-        self.owner = owner
-        self.ready = ready  # tick at which the value resolves
-        self.ordinal = ordinal  # producing task, None for seeds
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _schedule(plan: Plan, n: int, workers: int) -> tuple[int, tuple[TaskNode, ...]]:
+    """The plan's task graph on FIFO workers, and its depth in tasks.
+
+    Seeds are futures 1..n, element i owned by worker (i-1) % workers + 1.
+    Update k is task k; its output is future n + k, owned by the owner of its
+    right read. Task k depends on the last task to touch each of its cells,
+    on its worker's previous task and on the producer of the value it
+    overwrites. Cached on the plan's value, so equal plans share one
+    immutable schedule.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    fid = list(range(1, n + 1))  # future id of each cell's current value
+    owner = [i % workers + 1 for i in range(n)]
+    producer = [0] * n  # task that wrote each cell's value; 0 for a seed
+    toucher = [0] * n  # last task to touch each cell
+    last_on: dict[int, int] = {}  # last task of each worker
+    depth = [0]  # by task ordinal; task 0 stands for "none"
+    nodes = []
+    for k, (a, b, w) in enumerate(_updates(plan), start=1):
+        o = owner[b]
+        deps = {toucher[a], toucher[b], toucher[w], last_on.get(o, 0), producer[w]}
+        depth.append(1 + max(depth[d] for d in deps))
+        deps.discard(0)
+        nodes.append(TaskNode(k, fid[a], fid[b], n + k, o, tuple(sorted(deps))))
+        toucher[a] = toucher[b] = toucher[w] = last_on[o] = producer[w] = k
+        fid[w], owner[w] = n + k, o
+    return max(depth), tuple(nodes)
 
 
 def run_virtual(
@@ -362,81 +393,25 @@ def run_virtual(
     workers: int,
     op_cost: int = 1,
 ) -> VirtualRun:
-    """Deterministic simulation of the threaded scheduler.
+    """Deterministic model of the threaded scheduler.
 
-    Values are computed exactly as in the threaded run; completion ticks
-    follow the same per-cell access-order dependencies plus per-worker FIFO
-    order, with every operator application costing op_cost ticks.
+    Values come from replaying the kernel's plan on a copy of values. The
+    task graph is the plan's cached schedule: the threaded run's per-cell
+    access-order dependencies plus per-worker FIFO order. Every operator
+    application costs op_cost ticks, so ticks are op_cost times its depth.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    ids = itertools.count(1)
     n = len(values)
-    cells = [
-        _VirtualCell(next(ids), v, (i % workers) + 1) for i, v in enumerate(values)
-    ]
-    nodes: list[TaskNode] = []
-    ready_of: dict[int, int] = {}  # task ordinal -> completion tick
-    last_toucher: dict[int, int] = {}  # cell index -> task ordinal
-    worker_free: dict[int, int] = {}  # worker id -> last task ordinal
-    pending_reads: list[int] = []
-    state = {"ticks": 0}
-
-    class _VStore:
-        def __len__(self):
-            return n
-
-        def get(self, i):
-            if not 1 <= i <= n:
-                raise IndexError(f"index {i} out of range 1..{n}")
-            pending_reads.append(i)
-            return cells[i - 1]
-
-        def put(self, i, cell):
-            if not 1 <= i <= n:
-                raise IndexError(f"index {i} out of range 1..{n}")
-            touched = set(pending_reads) | {i}
-            pending_reads.clear()
-            ordinal = cell.ordinal
-            deps = sorted(
-                {last_toucher[c] for c in touched if c in last_toucher}
-                | ({worker_free[cell.owner]} if cell.owner in worker_free else set())
-                | ({cells[i - 1].ordinal} if cells[i - 1].ordinal else set())
-            )
-            start = max((ready_of[d] for d in deps), default=0)
-            cell.ready = start + op_cost
-            ready_of[ordinal] = cell.ready
-            state["ticks"] = max(state["ticks"], cell.ready)
-            nodes[ordinal - 1] = TaskNode(
-                ordinal=ordinal,
-                left_id=nodes[ordinal - 1].left_id,
-                right_id=nodes[ordinal - 1].right_id,
-                out_id=cell.id,
-                owner=cell.owner,
-                deps=tuple(deps),
-            )
-            for c in touched:
-                last_toucher[c] = ordinal
-            worker_free[cell.owner] = ordinal
-            cells[i - 1] = cell
-
-    def lifted(c1: _VirtualCell, c2: _VirtualCell) -> _VirtualCell:
-        out = _VirtualCell(next(ids), op(c1.value, c2.value), c2.owner)
-        out.ordinal = len(nodes) + 1
-        nodes.append(
-            TaskNode(out.ordinal, c1.id, c2.id, out.id, out.owner, deps=())
-        )
-        return out
-
-    kernel(_VStore(), lifted)
-    return VirtualRun([c.value for c in cells], state["ticks"], TaskGraph(nodes))
+    plan = _kernel_plan(kernel, n)
+    unit_ticks, nodes = _schedule(plan, n, workers)
+    data = list(values)
+    _replay(plan, data, op)
+    return VirtualRun(data, unit_ticks * op_cost, TaskGraph(list(nodes)))
 
 
 def build_task_graph(kernel: ScanKernel | Callable, n: int, workers: int = 0) -> TaskGraph:
     """Task graph of one kernel run at size n (workers defaults to n)."""
-    run = run_virtual(kernel, list(range(1, n + 1)), lambda a, b: a + b,
-                      workers or max(n, 1))
-    return run.graph
+    _, nodes = _schedule(_kernel_plan(kernel, n), n, workers or max(n, 1))
+    return TaskGraph(list(nodes))
 
 
 # --- Benchmark harness -----------------------------------------------------

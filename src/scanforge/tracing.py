@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, IO, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 if TYPE_CHECKING:
     from .kernels import ScanKernel
@@ -176,8 +176,3 @@ def replay(history: Iterable[Transaction], values: list, op: Callable) -> list:
         a, b = t.reads
         data[t.write - 1] = op(data[a - 1], data[b - 1])
     return data
-
-
-def write_trace(history: TraceHistory, out: IO[str]) -> None:
-    out.write(trace_to_json(history))
-    out.write("\n")

@@ -142,6 +142,13 @@ def test_p_range_rejects_p_below_two(spec):
         _parse_p_range(spec)
 
 
+@pytest.mark.parametrize("spec", ["4:2", ","])
+def test_p_range_without_points_is_usage_error(spec, capsys):
+    # Both used to print only the CSV header and exit 0.
+    assert main(["bench", "--p-range", spec, "--virtual-clock"]) == 2
+    assert "names no p" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("rows, n, complaint", [
     ([{"reads": [1, 2], "write": 2}, {"reads": [2, 3]}], None, "row 2 needs"),
     ([{"reads": [1, 2], "write": 2}, {"reads": [8, 9], "write": 9}], 8,

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import random
 import time
@@ -107,6 +108,17 @@ def test_run_parallel_propagates_operator_errors():
 
     with pytest.raises(ValueError):
         run_parallel(BRENT_KUNG, list(range(1, 9)), boom, 4)
+
+
+def test_finished_run_leaves_no_cyclic_garbage():
+    # Unfreed cycles would hold every task, future and Event until a full GC.
+    gc.collect()
+    gc.disable()
+    try:
+        run_parallel(BRENT_KUNG, list(range(1, 65)), add, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_owner_placement_rule():
