@@ -122,10 +122,14 @@ def _cmd_trace(args) -> int:
 
 def _parse_viewport(spec: str) -> tuple[int, int]:
     w, _, h = spec.partition("x")
+    if not (w.isdecimal() and h.isdecimal() and int(w) > 0 and int(h) > 0):
+        raise UsageError(f"--viewport {spec!r}: expected WxH in positive integers, "
+                         "e.g. 600x400")
     return int(w), int(h)
 
 
 def _cmd_render(args) -> int:
+    viewport = _parse_viewport(args.viewport)
     if args.trace:
         with open(args.trace) as f:
             history = tracing.trace_from_json(f.read())
@@ -142,7 +146,7 @@ def _cmd_render(args) -> int:
         history = tracing.run_traced(kernel, args.n)
         n = args.n
     diagram = render.layout(history, n)
-    svg = render.svg_string(diagram, _parse_viewport(args.viewport))
+    svg = render.svg_string(diagram, viewport)
     _atomic_write(args.out, svg)
     return 0
 

@@ -7,7 +7,8 @@ Every kernel is an in-place instruction stream of the single update shape
 so the same code computes concrete scans, records access traces, or runs
 in parallel depending on what the store hands back. Because the stream does
 not depend on the values, a ScanKernel records it once per length as a plan
-and replays that plan on plain ListStore data.
+and replays that plan on plain ListStore data; traces, proofs and the
+virtual clock read the same plan.
 """
 
 from __future__ import annotations
@@ -207,6 +208,12 @@ def _record(fn: Callable, n: int) -> Plan:
 def _plan(kernel: "ScanKernel", n: int) -> Plan:
     """The kernel's update stream at length n, recorded once per (kernel, n)."""
     return _record(kernel.fn, n)
+
+
+def _kernel_plan(kernel: "ScanKernel | Callable", n: int) -> Plan:
+    """The plan at length n: cached for a ScanKernel, recorded again for a
+    plain callable. Either way the kernel is checked against the contract."""
+    return _plan(kernel, n) if isinstance(kernel, ScanKernel) else _record(kernel, n)
 
 
 def _progression(start: int, step: int, count: int) -> Iterable[int]:

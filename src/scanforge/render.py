@@ -67,12 +67,13 @@ def svg_string(d: Diagram, viewport: tuple[int, int] = (600, 400)) -> str:
     units_y = d.max_depth + 1
     sx = w_px / units_x
     sy = h_px / units_y
-
-    def fx(x: float) -> str:
-        return _f((x - 0.5) * sx)
-
-    def fy(y: float) -> str:
-        return _f(y * sy)
+    # Each coordinate is formatted once: x per line index, y per gate depth.
+    indices = set(d.guidelines).union(*(g.ins for g in d.gates),
+                                      *(g.outs for g in d.gates))
+    xs = {i: _f((i - 0.5) * sx) for i in indices}
+    depths = {g.depth for g in d.gates}
+    ys_in = {k: _f((k - 1 + R_IN) * sy) for k in depths}
+    ys_out = {k: _f((k - 1 + 0.5) * sy) for k in depths}
 
     lines: list[str] = []
     lines.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -81,34 +82,36 @@ def svg_string(d: Diagram, viewport: tuple[int, int] = (600, 400)) -> str:
         f'width="{w_px}" height="{h_px}" viewBox="0 0 {w_px} {h_px}">'
     )
     guide_w = _f(_mm_to_px(GUIDE_MM))
+    top, bottom = _f(0 * sy), _f(units_y * sy)
     for i in d.guidelines:
         lines.append(
-            f'<line class="guideline" x1="{fx(i)}" y1="{fy(0)}" '
-            f'x2="{fx(i)}" y2="{fy(units_y)}" '
+            f'<line class="guideline" x1="{xs[i]}" y1="{top}" '
+            f'x2="{xs[i]}" y2="{bottom}" '
             f'stroke="grey" stroke-width="{guide_w}"/>'
         )
     edge_w = _f(_mm_to_px(LINE_MM))
+    r_in, r_out = _f(R_IN * sx), _f(R_OUT * sx)
     for g in d.gates:
-        y0 = g.depth - 1
-        ipoints = [(i, y0 + R_IN) for i in g.ins]
-        opoints = [(o, y0 + 0.5) for o in g.outs]
-        for ix, iy in ipoints:
-            for ox, oy in opoints:
+        iy, oy = ys_in[g.depth], ys_out[g.depth]
+        ixs = [xs[i] for i in g.ins]
+        oxs = [xs[o] for o in g.outs]
+        for ix in ixs:
+            for ox in oxs:
                 lines.append(
-                    f'<line class="edge" x1="{fx(ix)}" y1="{fy(iy)}" '
-                    f'x2="{fx(ox)}" y2="{fy(oy)}" '
+                    f'<line class="edge" x1="{ix}" y1="{iy}" '
+                    f'x2="{ox}" y2="{oy}" '
                     f'stroke="black" stroke-width="{edge_w}"/>'
                 )
-        for ix, iy in ipoints:
+        for ix in ixs:
             lines.append(
-                f'<circle class="in" cx="{fx(ix)}" cy="{fy(iy)}" '
-                f'r="{_f(R_IN * sx)}" fill="white" stroke="black" '
+                f'<circle class="in" cx="{ix}" cy="{iy}" '
+                f'r="{r_in}" fill="white" stroke="black" '
                 f'stroke-width="{edge_w}"/>'
             )
-        for ox, oy in opoints:
+        for ox in oxs:
             lines.append(
-                f'<circle class="out" cx="{fx(ox)}" cy="{fy(oy)}" '
-                f'r="{_f(R_OUT * sx)}" fill="white" stroke="black" '
+                f'<circle class="out" cx="{ox}" cy="{oy}" '
+                f'r="{r_out}" fill="white" stroke="black" '
                 f'stroke-width="{edge_w}"/>'
             )
     lines.append("</svg>")

@@ -26,7 +26,7 @@ from fractions import Fraction
 from queue import Queue
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .kernels import _PLAN_CACHE_SIZE, Plan, ScanKernel, _plan, _record, _replay, _updates
+from .kernels import _PLAN_CACHE_SIZE, Plan, ScanKernel, _kernel_plan, _replay, _updates
 
 WORKERS_ENV = "SCANFORGE_WORKERS"
 
@@ -348,11 +348,6 @@ class VirtualRun:
     results: list
     ticks: int
     graph: TaskGraph
-
-
-def _kernel_plan(kernel: ScanKernel | Callable, n: int) -> Plan:
-    # A ScanKernel's plan is cached per (kernel, n); a plain callable is recorded.
-    return _plan(kernel, n) if isinstance(kernel, ScanKernel) else _record(kernel, n)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)

@@ -1,23 +1,24 @@
-"""Access tracing: run a kernel against a store that records index traffic.
+"""Access tracing: a kernel's index traffic as a history of transactions.
 
-A TraceStore never holds data. get() hands back a unit placeholder and
-logs the index; put() closes the pending reads into a Transaction. The
-recorded history is enough to reconstruct the kernel's data flow, stage
-structure, and operation count.
+run_traced reads the history from the kernel's plan, the update stream
+that kernels records once per (kernel, n) and checks against the store
+contract: every put consumes exactly the two reads issued since the
+previous put, and the kernel has no value-dependent control flow. The
+history is enough to reconstruct the kernel's data flow, stage structure,
+and operation count.
 
-The tracer assumes (and does not relax) the contract that every put
-consumes exactly the reads issued since the previous put, and that the
-kernel has no value-dependent control flow.
+A TraceStore is the raw recorder, with no contract check: get() hands back
+a unit placeholder and logs the index; put() closes the pending reads into
+a Transaction, however many there were.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
-if TYPE_CHECKING:
-    from .kernels import ScanKernel
+from . import kernels  # the module, not its names: kernels is still loading here
 
 
 class _Unit:
@@ -80,11 +81,15 @@ class TraceStore:
         self.pending_reads.clear()
 
 
-def run_traced(kernel: ScanKernel | Callable, n: int) -> TraceHistory:
-    """Trace one kernel run on a fresh store of length n."""
-    store = TraceStore(n)
-    kernel(store, placeholder_op)
-    return store.history
+def run_traced(kernel: kernels.ScanKernel | Callable, n: int) -> TraceHistory:
+    """The transactions of one kernel run at length n, read from its plan.
+
+    A kernel that breaks the store contract raises kernels.ContractError.
+    """
+    if n < 0:
+        raise ValueError("length must be >= 0")
+    updates = kernels._updates(kernels._kernel_plan(kernel, n))
+    return [Transaction((a + 1, b + 1), w + 1) for a, b, w in updates]
 
 
 def infer_depths(history: Iterable[Transaction]) -> list[tuple[Transaction, int]]:
@@ -98,7 +103,7 @@ def infer_depths(history: Iterable[Transaction]) -> list[tuple[Transaction, int]
     depth = 0
     out: list[tuple[Transaction, int]] = []
     for t in history:
-        if depth == 0 or any(r <= olast for r in t.reads):
+        if depth == 0 or (t.reads and min(t.reads) <= olast):
             depth += 1
         out.append((t, depth))
         olast = t.write
@@ -140,12 +145,19 @@ def depths_disagree(history: TraceHistory) -> bool:
 
 
 def trace_to_json(history: TraceHistory) -> str:
-    """Stable JSON form: [{"reads": [...], "write": i, "depth": d}, ...]."""
-    rows = [
-        {"reads": list(t.reads), "write": t.write, "depth": d}
-        for t, d in infer_depths(history)
-    ]
-    return json.dumps(rows, indent=2)
+    """Stable JSON form: [{"reads": [...], "write": i, "depth": d}, ...].
+
+    The text is json.dumps(rows, indent=2) for integer indices, written
+    here a row at a time: with indent set, json encodes in pure Python,
+    one call per token.
+    """
+    rows = []
+    for t, d in infer_depths(history):
+        reads = ("[\n      " + ",\n      ".join(map(str, t.reads)) + "\n    ]"
+                 if t.reads else "[]")
+        rows.append(f'  {{\n    "reads": {reads},\n    "write": {t.write},\n'
+                    f'    "depth": {d}\n  }}')
+    return "[\n" + ",\n".join(rows) + "\n]" if rows else "[]"
 
 
 def trace_from_json(text: str) -> TraceHistory:

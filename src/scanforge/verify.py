@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import kernels  # the module, not its names: kernels imports ops, ops this
-from .stores import ListStore
 from .tracing import Transaction, infer_depths, run_traced
 
 
@@ -136,7 +135,8 @@ def verify_serial(kernel: kernels.ScanKernel | Callable, n: int) -> Verification
     """Serial correctness: scan the unit ranges and demand [1:k for k=1..n].
 
     first_top is the 1-based ordinal of the first operator application that
-    produced TOP, if any.
+    produced TOP, if any. The ranges are scanned by the kernel's plan, so a
+    kernel that breaks the store contract raises kernels.ContractError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -149,9 +149,8 @@ def verify_serial(kernel: kernels.ScanKernel | Callable, n: int) -> Verification
             state["first_top"] = state["ordinal"]
         return r
 
-    store = ListStore(seed_intervals(n))
-    kernel(store, counting_plus)
-    output = store.to_list()
+    output = seed_intervals(n)
+    kernels._replay(kernels._kernel_plan(kernel, n), output, counting_plus)
     expected = expected_intervals(n)
     name = kernel.name if isinstance(kernel, kernels.ScanKernel) else getattr(
         kernel, "__name__", "kernel"
@@ -185,7 +184,10 @@ def verify_race_free(kernel: kernels.ScanKernel | Callable, n: int) -> RaceRepor
 
 
 def verify_parallel(kernel: kernels.ScanKernel | Callable, n: int) -> ParallelReport:
-    """Parallel correctness = serial correctness + race-free staging."""
+    """Parallel correctness = serial correctness + race-free staging.
+
+    Both read the kernel's plan; a ScanKernel's code runs once, to record it.
+    """
     serial = verify_serial(kernel, n)
     races = verify_race_free(kernel, n)
     name = serial.kernel

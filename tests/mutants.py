@@ -1,6 +1,6 @@
 """Deliberately broken kernels used to check that verification catches bugs."""
 
-from scanforge.kernels import iceil_log2
+from scanforge.kernels import iceil_log2, scan_serial
 
 
 def wrong_offset(store, op):
@@ -37,3 +37,19 @@ ALL = {
     "skipped-stage": skipped_stage,
     "transposed-operands": transposed_operands,
 }
+
+
+def nested_operator(store, op):
+    """Three reads before one put: the operator applied twice."""
+    store.put(3, op(op(store.get(1), store.get(2)), store.get(3)))
+    return store
+
+
+def stray_get(store, op):
+    """Serial scan after a read that no put consumes."""
+    store.get(1)
+    return scan_serial(store, op)
+
+
+# Kernels that break the store contract, as opposed to computing a wrong scan.
+CONTRACT_BREACHES = (nested_operator, stray_get)

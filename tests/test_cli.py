@@ -102,6 +102,16 @@ def test_render_viewport_flag(tmp_path):
     assert 'width="300"' in out.read_text()
 
 
+@pytest.mark.parametrize("spec", ["-600x400", "0x400", "10", "axb"])
+def test_render_rejects_bad_viewport(tmp_path, capsys, spec):
+    # "-600x400" used to write width="-600"; "10" failed on int('').
+    out = tmp_path / "s.svg"
+    assert main(["render", "--kernel", "serial", "--n", "4",
+                 f"--viewport={spec}", "--out", str(out)]) == 2
+    assert "--viewport" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_virtual_csv(tmp_path):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--p-range", "4,8", "--virtual-clock",

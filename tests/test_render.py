@@ -1,5 +1,9 @@
 import re
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import render_oracle
 from scanforge.kernels import BRENT_KUNG, SERIAL
 from scanforge.render import Gate, Diagram, layout, svg_equal, svg_string
 from scanforge.tracing import Transaction, run_traced
@@ -93,3 +97,21 @@ def test_svg_equal_tolerates_float_drift():
     assert a != b
     assert svg_equal(a, b, tol=1e-3)
     assert not svg_equal(a, a.replace('stroke="grey"', 'stroke="red"'))
+
+
+line_index = st.integers(min_value=1, max_value=64)
+random_gate = st.builds(Gate,
+                        st.lists(line_index, max_size=3).map(tuple),
+                        st.lists(line_index, min_size=1, max_size=2).map(tuple),
+                        st.integers(min_value=1, max_value=50))
+
+
+@given(st.integers(min_value=0, max_value=64),
+       st.integers(min_value=0, max_value=50),
+       st.lists(random_gate, max_size=40),
+       st.tuples(st.integers(min_value=1, max_value=4000),
+                 st.integers(min_value=1, max_value=4000)))
+@settings(max_examples=200, deadline=None)
+def test_svg_string_equals_the_reference_renderer(width, max_depth, gates, viewport):
+    d = Diagram(width=width, max_depth=max_depth, gates=gates)
+    assert svg_string(d, viewport) == render_oracle.svg_string(d, viewport)

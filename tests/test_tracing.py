@@ -3,11 +3,18 @@ import random
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mutants
 from scanforge.kernels import (
     BRENT_KUNG,
     BRENT_KUNG_8,
+    KERNEL_NAMES,
     SERIAL,
+    ContractError,
+    ScanKernel,
+    get_kernel,
     scan_then_fan_kernel,
 )
 from scanforge.stores import ListStore
@@ -76,6 +83,8 @@ def test_run_traced_counts():
     assert len(run_traced(SERIAL, 8)) == 7
     assert len(run_traced(BRENT_KUNG, 8)) == 11
     assert run_traced(SERIAL, 0) == []
+    with pytest.raises(ValueError):
+        run_traced(SERIAL, -1)
 
 
 def test_trace_completeness_all_kernels():
@@ -153,3 +162,51 @@ def test_depths_disagree_on_independent_low_read():
     assert [d for _, d in infer_depths(history)] == [1, 2]
     assert [d for _, d in dag_depths(history)] == [1, 1]
     assert depths_disagree(history)
+
+
+@pytest.mark.parametrize("fn", mutants.CONTRACT_BREACHES)
+@pytest.mark.parametrize("as_kernel", [False, True], ids=["callable", "ScanKernel"])
+def test_run_traced_raises_on_contract_breach(fn, as_kernel):
+    # The raw TraceStore records either breach as one 3-read transaction.
+    assert fn(TraceStore(3), placeholder_op).history[0].reads in {(1, 1, 2), (1, 2, 3)}
+    with pytest.raises(ContractError):
+        run_traced(ScanKernel(fn.__name__, fn) if as_kernel else fn, 3)
+
+
+histories = st.lists(st.builds(Transaction,
+                               st.lists(st.integers(1, 10**6), max_size=4).map(tuple),
+                               st.integers(1, 10**6)),
+                     max_size=40)
+
+
+def reference_depths(history):
+    """infer_depths's stage rule, written with any() over the reads."""
+    olast = depth = 0
+    for t in history:
+        if depth == 0 or any(r <= olast for r in t.reads):
+            depth += 1
+        yield t, depth
+        olast = t.write
+
+
+@given(histories)
+@settings(max_examples=200, deadline=None)
+def test_trace_to_json_is_json_dumps_with_indent(history):
+    rows = [
+        {"reads": list(t.reads), "write": t.write, "depth": d}
+        for t, d in reference_depths(history)
+    ]
+    assert trace_to_json(history) == json.dumps(rows, indent=2)
+
+
+@given(st.sampled_from(KERNEL_NAMES + tuple(mutants.ALL)),
+       st.integers(min_value=0, max_value=300),
+       st.integers(min_value=1, max_value=12))
+@settings(max_examples=200, deadline=None)
+def test_run_traced_equals_the_trace_store_run(name, n, chunks):
+    if name in mutants.ALL:
+        kernel = mutants.ALL[name]
+    else:
+        kernel = get_kernel(name, chunks)
+        n = kernel.fixed_length or n
+    assert run_traced(kernel, n) == kernel(TraceStore(n), placeholder_op).history

@@ -9,6 +9,9 @@ from scanforge.kernels import (
     BRENT_KUNG,
     BRENT_KUNG_8,
     SERIAL,
+    ContractError,
+    ScanKernel,
+    scan_serial,
     scan_then_fan_kernel,
 )
 from scanforge.stores import ListStore
@@ -25,7 +28,7 @@ from scanforge.verify import (
     verify_race_free,
     verify_serial,
 )
-from mutants import ALL as MUTANTS
+from mutants import ALL as MUTANTS, CONTRACT_BREACHES
 
 
 def all_intervals(max_index=6):
@@ -153,6 +156,28 @@ def test_verify_parallel_composition():
     assert verify_parallel(scan_then_fan_kernel(3), 12).ok
     report = verify_parallel(MUTANTS["wrong-offset"], 4)
     assert not report.ok
+
+
+@pytest.mark.parametrize("fn", CONTRACT_BREACHES)
+@pytest.mark.parametrize("as_kernel", [False, True], ids=["callable", "ScanKernel"])
+def test_verify_raises_on_contract_breach(fn, as_kernel):
+    # The stray read used to pass as ok=True through a 3-read transaction.
+    kernel = ScanKernel(fn.__name__, fn) if as_kernel else fn
+    with pytest.raises(ContractError):
+        verify_serial(kernel, 3)
+    with pytest.raises(ContractError):
+        verify_parallel(kernel, 3)
+
+
+def test_verify_parallel_runs_the_kernel_code_once():
+    calls = []
+
+    def counted(store, op):
+        calls.append(len(store))
+        return scan_serial(store, op)
+
+    assert verify_parallel(ScanKernel("counted", counted), 37).ok
+    assert calls == [37]
 
 
 def test_verify_parallel_json_shape():

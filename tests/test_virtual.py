@@ -15,7 +15,6 @@ from scanforge.kernels import (
     ContractError,
     ScanKernel,
     get_kernel,
-    scan_serial,
 )
 from scanforge.ops import builtin_ops
 from scanforge.runtime import build_task_graph, critical_path, run_virtual
@@ -60,17 +59,7 @@ def test_runs_share_no_mutable_state():
         second.graph.nodes[0].deps = (1,)
 
 
-def nested_operator(store, op):
-    store.put(3, op(op(store.get(1), store.get(2)), store.get(3)))
-    return store
-
-
-def stray_get(store, op):
-    store.get(1)
-    return scan_serial(store, op)
-
-
-@pytest.mark.parametrize("fn", [nested_operator, stray_get])
+@pytest.mark.parametrize("fn", mutants.CONTRACT_BREACHES)
 @pytest.mark.parametrize("as_kernel", [False, True], ids=["callable", "ScanKernel"])
 def test_contract_breach_raises(fn, as_kernel):
     # Both used to give a wrong schedule: the nested operator, 2 tasks in 1 tick.
