@@ -1,21 +1,26 @@
-"""Task-parallel execution of unmodified scan kernels over futures.
+"""Task-parallel execution of scan kernels over futures.
 
-Seeding a store with futures and lifting the operator to schedule work on
-the owner of its right operand makes the very same kernel code run in
-parallel: blocking fetches supply all synchronization. The scheduler is
-stage-synchronous at the granularity of per-cell access order — a task
-runs only after every earlier task that touched any of its cells — which
-makes the makespan equal the critical path of the task graph and the
-measured speedup follow the (p-1) / tree-depth model.
+A scan kernel is oblivious, so its checked plan fixes the whole task graph
+before any value exists. `run_parallel` takes the plan's cached schedule
+(the same one the virtual clock reads) and runs it on worker threads: each
+update is one task on the owner of its right operand, and the output of a
+task is a new write-once future. The scheduler is stage-synchronous at the
+granularity of per-cell access order — a task runs only after every earlier
+task that touched any of its cells — which makes the makespan equal the
+critical path of the task graph and the measured speedup follow the
+(p-1) / tree-depth model. A task waits on the futures of its dependencies
+on other workers; those on its own worker hold by FIFO order. A kernel that
+breaks the store contract raises `ContractError` before any thread starts.
 
 Workers are in-process threads with FIFO task queues, not OS processes;
-the blocking-fetch contract, not the transport, is what matters here. A
-virtual-clock mode reads exact tick counts from the kernel's plan without
-threads.
+the blocking-fetch contract, not the transport, is what matters here. At
+most MAX_WORKERS threads run per cluster. A virtual-clock mode reads exact
+tick counts from the same schedule without threads.
 """
 
 from __future__ import annotations
 
+import _thread
 import functools
 import itertools
 import os
@@ -23,86 +28,87 @@ import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from queue import Queue
-from typing import Any, Callable, Iterable, Optional, Sequence
+from queue import SimpleQueue
+from typing import Any, Callable, Iterable, Sequence
 
 from .kernels import _PLAN_CACHE_SIZE, Plan, ScanKernel, _kernel_plan, _replay, _updates
 
 WORKERS_ENV = "SCANFORGE_WORKERS"
 
+# Most worker threads one Cluster starts; bench's default --p-range tops out at 32.
+MAX_WORKERS = 256
+
 _future_ids = itertools.count(1)
+_PENDING = object()  # a future's value until it is resolved or failed
 
 
 class Future:
     """A write-once value handle; fetch blocks until resolution."""
 
-    __slots__ = ("id", "owner", "_event", "_value", "_error", "_node")
+    __slots__ = ("id", "owner", "_lock", "_value", "_error")
 
     def __init__(self, owner: int):
         self.id = next(_future_ids)
         self.owner = owner
-        self._event = threading.Event()
-        self._value = None
-        self._error: Optional[BaseException] = None
-        self._node = None
+        self._lock = _thread.allocate_lock()
+        self._lock.acquire()  # held until the future is resolved or failed
+        self._value = _PENDING
+        self._error: BaseException | None = None
 
     @classmethod
     def resolved(cls, value, owner: int) -> "Future":
         f = cls(owner)
-        f._value = value
-        f._event.set()
+        f.resolve(value)
         return f
 
     def resolve(self, value) -> None:
-        if self._event.is_set():
+        if self.done:
             raise RuntimeError(f"future {self.id} resolved twice")
         self._value = value
-        self._event.set()
+        self._lock.release()
 
     def fail(self, error: BaseException) -> None:
-        if self._event.is_set():
+        if self.done:
             raise RuntimeError(f"future {self.id} resolved twice")
         self._error = error
-        self._event.set()
+        self._value = None
+        self._lock.release()
+
+    def _wait(self) -> None:
+        self._lock.acquire()
+        self._lock.release()
 
     def fetch(self):
-        self._event.wait()
+        self._wait()
         if self._error is not None:
             raise self._error
         return self._value
 
     @property
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._value is not _PENDING
 
 
 class _Task:
-    """One lifted operator application bound to a worker."""
+    """One operator application bound to a worker."""
 
-    __slots__ = ("ordinal", "op", "left", "right", "out", "deps", "finished",
-                 "launched")
+    __slots__ = ("op", "left", "right", "out", "waits")
 
-    def __init__(self, ordinal: int, op, left: Future, right: Future, out: Future):
-        self.ordinal = ordinal
+    def __init__(self, op, left: Future, right: Future, out: Future,
+                 waits: Sequence[Future] = ()):
         self.op = op
         self.left = left
         self.right = right
         self.out = out
-        self.deps: list["_Task"] = []
-        self.finished = threading.Event()
-        self.launched = False
+        self.waits = waits  # outputs of dependencies on other workers
 
     def run(self) -> None:
         try:
-            for dep in self.deps:
-                dep.finished.wait()
-            a = self.left.fetch()
-            b = self.right.fetch()
-            self.out.resolve(self.op(a, b))
+            for f in self.waits:
+                f._wait()
+            self.out.resolve(self.op(self.left.fetch(), self.right.fetch()))
         except BaseException as exc:  # poison, do not kill the worker
             self.out.fail(exc)
-        finally:
-            self.finished.set()
 
 
 _STOP = object()
@@ -111,42 +117,36 @@ _STOP = object()
 class _Worker:
     def __init__(self, wid: int):
         self.id = wid
-        self.queue: Queue = Queue()
+        self.queue: SimpleQueue = SimpleQueue()
         self.thread = threading.Thread(target=self._loop, daemon=True)
         self.thread.start()
 
     def _loop(self) -> None:
-        while True:
-            task = self.queue.get()
-            if task is _STOP:
-                return
+        get = self.queue.get
+        while (task := get()) is not _STOP:
             task.run()
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be <= MAX_WORKERS ({MAX_WORKERS}), got {workers}")
+
+
 class Cluster:
-    """A pool of FIFO workers that lifted operators schedule tasks onto."""
+    """A pool of FIFO workers that tasks are scheduled onto."""
 
     def __init__(self, workers: int):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        _check_workers(workers)
         self.workers = [_Worker(wid) for wid in range(1, workers + 1)]
-        self._ordinals = itertools.count(1)
-        self.tasks: list[_Task] = []
 
     def seed(self, value, index: int) -> Future:
         """A resolved future for element `index` (1-based), round-robin owned."""
         owner = self.workers[(index - 1) % len(self.workers)].id
         return Future.resolved(value, owner)
 
-    def _make_task(self, op, f1: Future, f2: Future) -> _Task:
-        out = Future(owner=f2.owner)
-        task = _Task(next(self._ordinals), op, f1, f2, out)
-        out._node = task
-        self.tasks.append(task)
-        return task
-
     def submit(self, task: _Task) -> None:
-        task.launched = True
         self.workers[task.out.owner - 1].queue.put(task)
 
     def shutdown(self) -> None:
@@ -154,10 +154,6 @@ class Cluster:
             w.queue.put(_STOP)
         for w in self.workers:
             w.thread.join()
-        # Each task and its output future refer to each other; unlinking them
-        # frees a finished run by reference counting, not at the next full GC.
-        for task in self.tasks:
-            task.out._node = None
 
     def __enter__(self):
         return self
@@ -175,64 +171,9 @@ def lift_remote(op: Callable, cluster: Cluster) -> Callable[[Future, Future], Fu
     """
 
     def combine(f1: Future, f2: Future) -> Future:
-        task = cluster._make_task(op, f1, f2)
+        task = _Task(op, f1, f2, Future(owner=f2.owner))
         cluster.submit(task)
         return task.out
-
-    return combine
-
-
-class FutureStore:
-    """Store of future handles with per-cell access-order scheduling.
-
-    get() returns the current handle without blocking. put() of a lifted
-    result wires the task's dependencies (every earlier task that touched a
-    cell of this transaction) and launches it. Mutation is confined to the
-    issuing thread.
-    """
-
-    def __init__(self, cells: list[Future], cluster: Cluster):
-        self._cells = cells
-        self._cluster = cluster
-        self._last_toucher: dict[int, _Task] = {}
-        self._pending_reads: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    @property
-    def cells(self) -> list[Future]:
-        return self._cells
-
-    def _check(self, i: int) -> None:
-        if not 1 <= i <= len(self._cells):
-            raise IndexError(f"index {i} out of range 1..{len(self._cells)}")
-
-    def get(self, i: int) -> Future:
-        self._check(i)
-        self._pending_reads.append(i)
-        return self._cells[i - 1]
-
-    def put(self, i: int, fut: Future) -> None:
-        self._check(i)
-        touched = set(self._pending_reads) | {i}
-        self._pending_reads.clear()
-        task = fut._node
-        if task is not None and not task.launched:
-            task.deps = [
-                self._last_toucher[c] for c in sorted(touched) if c in self._last_toucher
-            ]
-            self._cluster.submit(task)
-        if task is not None:
-            for c in touched:
-                self._last_toucher[c] = task
-        self._cells[i - 1] = fut
-
-
-def _lift_deferred(op: Callable, cluster: Cluster) -> Callable[[Future, Future], Future]:
-    # Launch is deferred to FutureStore.put so conflict deps can be attached.
-    def combine(f1: Future, f2: Future) -> Future:
-        return cluster._make_task(op, f1, f2).out
 
     return combine
 
@@ -253,31 +194,35 @@ def run_parallel_detailed(
     op: Callable,
     workers: int,
 ) -> tuple[list, "TaskGraph"]:
-    """Run the kernel over a future store; also return the task graph."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    """Run the kernel's plan on worker threads; also return the task graph.
+
+    The graph is the plan's cached schedule, the one `run_virtual` and
+    `build_task_graph` read: in it, seeds are futures 1..n and task k
+    outputs future n + k.
+    """
+    _check_workers(workers)
+    n = len(values)
+    plan = _kernel_plan(kernel, n)
+    _, nodes = _schedule(plan, n, workers)
     cluster = Cluster(workers)
     try:
-        seeds = [cluster.seed(v, i) for i, v in enumerate(values, start=1)]
-        store = FutureStore(seeds, cluster)
-        kernel(store, _lift_deferred(op, cluster))
-        results = [f.fetch() for f in store.cells]
+        futures = [cluster.seed(v, i) for i, v in enumerate(values, start=1)]
+        cells = futures[:n]
+        tasks = []
+        for (_, _, w), node in zip(_updates(plan), nodes):
+            out = Future(node.owner)
+            waits = [futures[n + d - 1] for d in node.deps
+                     if nodes[d - 1].owner != node.owner]
+            tasks.append(_Task(op, futures[node.left_id - 1],
+                               futures[node.right_id - 1], out, waits))
+            futures.append(out)
+            cells[w] = out
+        for task in tasks:
+            cluster.submit(task)
+        results = [f.fetch() for f in cells]
     finally:
         cluster.shutdown()
-    graph = TaskGraph(
-        [
-            TaskNode(
-                ordinal=k,
-                left_id=t.left.id,
-                right_id=t.right.id,
-                out_id=t.out.id,
-                owner=t.out.owner,
-                deps=tuple(sorted(d.ordinal for d in t.deps)),
-            )
-            for k, t in enumerate(cluster.tasks, start=1)
-        ]
-    )
-    return results, graph
+    return results, TaskGraph(list(nodes))
 
 
 # --- Task graphs and the speedup model -----------------------------------
@@ -426,7 +371,12 @@ CSV_HEADER = "p,t_serial_ns,t_parallel_ns,measured_ratio,model_ratio"
 
 def worker_count(default: int) -> int:
     env = os.environ.get(WORKERS_ENV)
-    return int(env) if env else default
+    if not env:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV}={env!r} is not an integer") from None
 
 
 def bench(
@@ -445,6 +395,10 @@ def bench(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    ps = list(ps)
+    if not virtual:  # refuse an over-cap row before any row starts threads
+        for p in ps:
+            _check_workers(worker_count(p))
     rows = []
     for p in ps:
         values = list(range(1, p + 1))

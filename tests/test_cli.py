@@ -1,10 +1,12 @@
 import csv
 import json
 import re
+import threading
 
 import pytest
 
 from scanforge.cli import UsageError, _parse_p_range, main, parse_elements
+from scanforge.runtime import MAX_WORKERS
 from scanforge.verify import IDENTITY, Range
 
 
@@ -121,6 +123,18 @@ def test_bench_virtual_csv(tmp_path):
     assert [r["p"] for r in rows] == ["4", "8"]
     assert rows[1]["t_serial_ns"] == "7"
     assert rows[1]["t_parallel_ns"] == "5"
+
+
+@pytest.mark.parametrize("workers, complaint", [
+    (str(MAX_WORKERS + 1), f"MAX_WORKERS ({MAX_WORKERS})"),
+    ("lots", "SCANFORGE_WORKERS='lots' is not an integer"),
+])
+def test_bench_refuses_bad_worker_count(monkeypatch, capsys, workers, complaint):
+    monkeypatch.setenv("SCANFORGE_WORKERS", workers)
+    before = threading.active_count()
+    assert main(["bench", "--p-range", "4", "--trials", "1", "--op-cost", "0"]) == 2
+    assert complaint in capsys.readouterr().err
+    assert threading.active_count() == before
 
 
 def test_no_leftover_temp_files(tmp_path):

@@ -2,15 +2,25 @@ import csv
 import gc
 import io
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 from itertools import accumulate
 
 import pytest
 
-from scanforge.kernels import BRENT_KUNG, SERIAL, scan_then_fan_kernel
+import mutants
+from scanforge.kernels import (
+    BRENT_KUNG,
+    SERIAL,
+    ContractError,
+    ScanKernel,
+    scan_then_fan_kernel,
+)
 from scanforge.runtime import (
     CSV_HEADER,
+    MAX_WORKERS,
     Cluster,
     CycleError,
     Future,
@@ -102,12 +112,59 @@ def test_run_parallel_noncommutative_with_jitter():
     assert run_parallel(BRENT_KUNG, vals, jittery_concat, 4) == want
 
 
+def test_run_parallel_under_frequent_thread_switches():
+    # More workers than cores and a tiny switch interval: a handoff that let a
+    # task read an operand before its producer resolved it would show here.
+    vals = [chr(0x100 + i) for i in range(64)]
+    want = list(accumulate(vals))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for kernel in (SERIAL, BRENT_KUNG, scan_then_fan_kernel(5)):
+            for workers in (3, 4):
+                assert run_parallel(kernel, vals, add, workers) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_run_parallel_propagates_operator_errors():
     def boom(a, b):
         raise ValueError("poisoned")
 
     with pytest.raises(ValueError):
         run_parallel(BRENT_KUNG, list(range(1, 9)), boom, 4)
+
+
+@pytest.mark.parametrize("fn", mutants.CONTRACT_BREACHES)
+@pytest.mark.parametrize("as_kernel", [False, True], ids=["callable", "ScanKernel"])
+def test_run_parallel_raises_on_contract_breach(fn, as_kernel):
+    # The nested operator used to hang forever; the stray get returned [1, 3, 6].
+    kernel = ScanKernel(fn.__name__, fn) if as_kernel else fn
+    outcome = []
+
+    def call():
+        try:
+            outcome.append(run_parallel(kernel, [1, 2, 3], add, 2))
+        except ContractError as exc:
+            outcome.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=10)
+    assert not caller.is_alive(), "run_parallel hung"
+    assert len(outcome) == 1 and isinstance(outcome[0], ContractError)
+
+
+def test_worker_cap_is_refused_before_any_thread_starts():
+    assert MAX_WORKERS >= 32  # the top of bench's default --p-range
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=f"MAX_WORKERS \\({MAX_WORKERS}\\)"):
+        Cluster(MAX_WORKERS + 1)
+    with pytest.raises(ValueError, match=f"MAX_WORKERS \\({MAX_WORKERS}\\)"):
+        run_parallel(BRENT_KUNG, [1, 2, 3], add, MAX_WORKERS + 1)
+    with pytest.raises(ValueError, match="MAX_WORKERS"):
+        bench(SERIAL, BRENT_KUNG, [4, MAX_WORKERS + 1], op_cost=0, trials=1)
+    assert threading.active_count() == before
 
 
 def test_finished_run_leaves_no_cyclic_garbage():
