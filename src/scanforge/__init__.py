@@ -14,7 +14,7 @@ from .kernels import (
     scan_then_fan,
     scan_then_fan_kernel,
 )
-from .ops import AssocOp, Chunk, builtin_ops, check_associative, chunk_combine
+from .ops import AssocOp, builtin_ops, check_associative
 from .render import Diagram, Gate, layout, svg_string
 from .runtime import (
     Cluster,
@@ -22,14 +22,12 @@ from .runtime import (
     TaskGraph,
     bench,
     critical_path,
-    lift_remote,
     run_parallel,
     run_virtual,
     speedup_model,
 )
 from .stores import ListStore, ScanStore
 from .tracing import (
-    TraceStore,
     Transaction,
     infer_depths,
     run_traced,

@@ -41,29 +41,6 @@ def check_associative(op: Callable, samples: Iterable[tuple]) -> AssocReport:
     return AssocReport(True)
 
 
-@dataclass(frozen=True)
-class Chunk:
-    """An ordered slice of elements, the unit the scan-then-fan pass combines."""
-
-    elements: tuple
-
-    def __len__(self):
-        return len(self.elements)
-
-
-def chunk_combine(op: Callable) -> AssocOp:
-    """Lift op to chunks: offset every element of b by the last element of a."""
-
-    def combine(a: Chunk, b: Chunk) -> Chunk:
-        if len(a.elements) == 0:
-            raise ValueError("left chunk is empty: no last element to offset by")
-        last = a.elements[-1]
-        return Chunk(tuple(op(last, x) for x in b.elements))
-
-    name = getattr(op, "name", getattr(op, "__name__", "op"))
-    return AssocOp(f"chunk[{name}]", combine)
-
-
 Matrix = tuple  # tuple of row tuples
 
 

@@ -9,7 +9,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -117,24 +116,3 @@ def svg_string(d: Diagram, viewport: tuple[int, int] = (600, 400)) -> str:
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
-
-def svg_equal(a: str, b: str, tol: float = 1e-3) -> bool:
-    """Structural SVG comparison tolerant of float-formatting drift."""
-    ea, eb = ET.fromstring(a), ET.fromstring(b)
-
-    def walk(x, y) -> bool:
-        if x.tag != y.tag or len(x) != len(y):
-            return False
-        if set(x.attrib) != set(y.attrib):
-            return False
-        for key, va in x.attrib.items():
-            vb = y.attrib[key]
-            try:
-                if abs(float(va) - float(vb)) > tol:
-                    return False
-            except ValueError:
-                if va != vb:
-                    return False
-        return all(walk(cx, cy) for cx, cy in zip(x, y))
-
-    return walk(ea, eb)

@@ -103,12 +103,22 @@ class _Task:
         self.waits = waits  # outputs of dependencies on other workers
 
     def run(self) -> None:
+        for f in self.waits:
+            f._wait()
+        left, right = self.left, self.right
+        left._wait()
+        right._wait()
+        error = left._error if left._error is not None else right._error
+        if error is not None:  # a poisoned input: pass its error on, unraised
+            self.out.fail(error)
+            return
         try:
-            for f in self.waits:
-                f._wait()
-            self.out.resolve(self.op(self.left.fetch(), self.right.fetch()))
+            value = self.op(left._value, right._value)
         except BaseException as exc:  # poison, do not kill the worker
             self.out.fail(exc)
+            self = None  # break exc -> traceback -> this frame -> task -> exc
+            return
+        self.out.resolve(value)
 
 
 _STOP = object()
@@ -162,22 +172,6 @@ class Cluster:
         self.shutdown()
 
 
-def lift_remote(op: Callable, cluster: Cluster) -> Callable[[Future, Future], Future]:
-    """Lift op to futures: combine(f1, f2) schedules op on f2's owner.
-
-    Returns immediately with a pending future; the worker task blocks on
-    fetching f1 (the simulated data transfer), reads f2, applies op, and
-    resolves the output. Failures poison the output future.
-    """
-
-    def combine(f1: Future, f2: Future) -> Future:
-        task = _Task(op, f1, f2, Future(owner=f2.owner))
-        cluster.submit(task)
-        return task.out
-
-    return combine
-
-
 def run_parallel(
     kernel: ScanKernel | Callable,
     values: Sequence[Any],
@@ -204,8 +198,22 @@ def run_parallel_detailed(
     n = len(values)
     plan = _kernel_plan(kernel, n)
     _, nodes = _schedule(plan, n, workers)
-    cluster = Cluster(workers)
-    try:
+    results, error = _run_schedule(plan, nodes, values, op, workers)
+    if error is not None:
+        try:
+            raise error
+        finally:
+            error = None  # the traceback holds this frame: no cycle through it
+    return results, TaskGraph(list(nodes))
+
+
+def _run_schedule(plan: Plan, nodes: Sequence[TaskNode], values: Sequence[Any],
+                  op: Callable, workers: int) -> tuple[list | None, BaseException | None]:
+    """The final value of every cell, or the error that poisoned the first
+    failed cell. An operator's error is returned, not raised, so that no
+    traceback holds this frame's futures."""
+    n = len(values)
+    with Cluster(workers) as cluster:  # shutdown() returns once every task ran
         futures = [cluster.seed(v, i) for i, v in enumerate(values, start=1)]
         cells = futures[:n]
         tasks = []
@@ -219,10 +227,10 @@ def run_parallel_detailed(
             cells[w] = out
         for task in tasks:
             cluster.submit(task)
-        results = [f.fetch() for f in cells]
-    finally:
-        cluster.shutdown()
-    return results, TaskGraph(list(nodes))
+    for f in cells:
+        if f._error is not None:
+            return None, f._error
+    return [f._value for f in cells], None
 
 
 # --- Task graphs and the speedup model -----------------------------------

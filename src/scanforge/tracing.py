@@ -6,41 +6,15 @@ contract: every put consumes exactly the two reads issued since the
 previous put, and the kernel has no value-dependent control flow. The
 history is enough to reconstruct the kernel's data flow, stage structure,
 and operation count.
-
-A TraceStore is the raw recorder, with no contract check: get() hands back
-a unit placeholder and logs the index; put() closes the pending reads into
-a Transaction, however many there were.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from . import kernels  # the module, not its names: kernels is still loading here
-
-
-class _Unit:
-    """The placeholder value returned by traced reads."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UNIT"
-
-
-UNIT = _Unit()
-
-
-def placeholder_op(a, b) -> _Unit:
-    """Dummy associative operator over the placeholder: unit + unit = unit."""
-    return UNIT
 
 
 @dataclass(frozen=True)
@@ -50,35 +24,6 @@ class Transaction:
 
 
 TraceHistory = list[Transaction]
-
-
-class TraceStore:
-    """Store that records which indices a kernel touches, not what it computes."""
-
-    def __init__(self, length: int):
-        if length < 0:
-            raise ValueError("length must be >= 0")
-        self.length = length
-        self.pending_reads: list[int] = []
-        self.history: TraceHistory = []
-
-    def __len__(self) -> int:
-        return self.length
-
-    def _check(self, i: int) -> None:
-        # Stricter than strictly needed for tracing: catches kernel bugs early.
-        if not 1 <= i <= self.length:
-            raise IndexError(f"index {i} out of range 1..{self.length}")
-
-    def get(self, i: int) -> _Unit:
-        self._check(i)
-        self.pending_reads.append(i)
-        return UNIT
-
-    def put(self, i: int, v) -> None:
-        self._check(i)
-        self.history.append(Transaction(tuple(self.pending_reads), i))
-        self.pending_reads.clear()
 
 
 def run_traced(kernel: kernels.ScanKernel | Callable, n: int) -> TraceHistory:
@@ -136,14 +81,6 @@ def dag_depths(history: Iterable[Transaction]) -> list[tuple[Transaction, int]]:
     return out
 
 
-def depths_disagree(history: TraceHistory) -> bool:
-    """True when the layout heuristic and the dependency DAG disagree on the
-    overall depth of the computation."""
-    heuristic = max((d for _, d in infer_depths(history)), default=0)
-    dag = max((d for _, d in dag_depths(history)), default=0)
-    return heuristic != dag
-
-
 def trace_to_json(history: TraceHistory) -> str:
     """Stable JSON form: [{"reads": [...], "write": i, "depth": d}, ...].
 
@@ -178,13 +115,3 @@ def trace_from_json(text: str) -> TraceHistory:
         history.append(t)
     return history
 
-
-def replay(history: Iterable[Transaction], values: list, op: Callable) -> list:
-    """Apply a recorded trace to concrete 1-based values; checks faithfulness."""
-    data = list(values)
-    for t in history:
-        if len(t.reads) != 2:
-            raise ValueError(f"cannot replay transaction with {len(t.reads)} reads")
-        a, b = t.reads
-        data[t.write - 1] = op(data[a - 1], data[b - 1])
-    return data

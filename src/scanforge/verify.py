@@ -33,32 +33,22 @@ class Range:
         return f"{self.lo}:{self.hi}"
 
 
-class _Identity:
-    _instance = None
+class _Sentinel:
+    """A constant compared with `is`; a copy or an unpickled one is itself."""
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "ID"
-
-
-class _Top:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, repr_: str, name: str):
+        self._repr = repr_
+        self._name = name  # the module global that holds it
 
     def __repr__(self):
-        return "TOP"
+        return self._repr
+
+    def __reduce__(self):
+        return self._name
 
 
-IDENTITY = _Identity()
-TOP = _Top()
+IDENTITY = _Sentinel("ID", "IDENTITY")
+TOP = _Sentinel("TOP", "TOP")
 
 Interval = object  # Range | IDENTITY | TOP
 

@@ -48,6 +48,12 @@ def test_unknown_kernel_is_usage_error(capsys):
     assert "brent-kung" in capsys.readouterr().err
 
 
+def test_unreadable_input_file_is_usage_error(tmp_path, capsys):
+    assert main(["run", "--kernel", "serial", "--op", "add",
+                 "--input-file", str(tmp_path / "missing.txt")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_op_is_usage_error(capsys):
     assert main(["verify", "--kernel", "serial", "--n", "4"]) in (0,)
     assert main(["run", "--kernel", "serial", "--op", "xor",

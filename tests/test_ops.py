@@ -5,14 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scanforge.kernels import scan_brent_kung, scan_serial
-from scanforge.ops import (
-    AssocOp,
-    Chunk,
-    builtin_ops,
-    check_associative,
-    chunk_combine,
-    matmul,
-)
+from scanforge.ops import AssocOp, builtin_ops, check_associative, matmul
 from scanforge.stores import ListStore
 from scanforge.verify import IDENTITY, Range, TOP
 
@@ -42,38 +35,6 @@ def test_check_associative_concat():
 def test_check_associative_requires_samples():
     with pytest.raises(ValueError):
         check_associative(OPS["add"], [])
-
-
-def test_chunk_combine_definition():
-    op = chunk_combine(OPS["add"])
-    out = op(Chunk((1, 3, 6)), Chunk((1, 2)))
-    assert out == Chunk((7, 8))
-
-
-def test_chunk_combine_identity_elements():
-    op = chunk_combine(OPS["add"])
-    out = op(Chunk((5,)), Chunk((0, 0, 0)))
-    assert out == Chunk((5, 5, 5))
-
-
-def test_chunk_combine_empty_left_rejected():
-    op = chunk_combine(OPS["add"])
-    with pytest.raises(ValueError):
-        op(Chunk(()), Chunk((1,)))
-
-
-def test_chunk_combine_is_associative():
-    rng = random.Random(3)
-    op = chunk_combine(OPS["add"])
-    triples = [
-        tuple(
-            Chunk(tuple(rng.randrange(10) for _ in range(rng.randrange(1, 4))))
-            for _ in range(3)
-        )
-        for _ in range(60)
-    ]
-    # lengths differ, so compare the combine results directly
-    assert check_associative(op, triples).ok
 
 
 def test_catalog_contents():

@@ -1,10 +1,12 @@
 import csv
 import gc
 import io
+import itertools
 import random
 import sys
 import threading
 import time
+import traceback
 from fractions import Fraction
 from itertools import accumulate
 
@@ -30,7 +32,6 @@ from scanforge.runtime import (
     bench_csv,
     build_task_graph,
     critical_path,
-    lift_remote,
     run_parallel,
     run_parallel_detailed,
     run_virtual,
@@ -43,22 +44,13 @@ def add(a, b):
     return a + b
 
 
-def test_lift_remote_basic():
-    with Cluster(2) as cluster:
-        f1 = Future.resolved(3, owner=1)
-        f2 = Future.resolved(4, owner=2)
-        out = lift_remote(add, cluster)(f1, f2)
-        assert out.owner == 2
-        assert out.fetch() == 7
-
-
-def test_lift_remote_chained_identity():
-    with Cluster(2) as cluster:
-        combine = lift_remote(add, cluster)
-        f = Future.resolved(0, owner=1)
-        for _ in range(5):
-            f = combine(f, Future.resolved(0, owner=2))
-        assert f.fetch() == 0
+def test_fetch_blocks_until_resolved():
+    f = Future(owner=1)
+    assert not f.done
+    resolver = threading.Timer(0.05, f.resolve, args=(7,))
+    resolver.start()
+    assert f.fetch() == 7  # waits for the timer thread's resolve
+    resolver.join(timeout=10)
 
 
 def test_future_resolves_exactly_once():
@@ -72,12 +64,12 @@ def test_poisoned_future_reports_error():
     def boom(a, b):
         raise ZeroDivisionError("bad op")
 
-    with Cluster(1) as cluster:
-        out = lift_remote(boom, cluster)(
-            Future.resolved(1, owner=1), Future.resolved(2, owner=1)
-        )
-        with pytest.raises(ZeroDivisionError):
-            out.fetch()
+    f = Future(owner=1)
+    f.fail(ZeroDivisionError("bad op"))
+    with pytest.raises(ZeroDivisionError):
+        f.fetch()
+    with pytest.raises(ZeroDivisionError):
+        run_parallel(SERIAL, [1, 2], boom, 1)
 
 
 def test_run_parallel_matches_oracle():
@@ -173,6 +165,37 @@ def test_finished_run_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         run_parallel(BRENT_KUNG, list(range(1, 65)), add, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def failed_run_traceback_length(kernel, n):
+    """Run n values on 2 workers with an operator whose first call raises."""
+    calls = itertools.count()
+
+    def op(a, b):
+        if next(calls) == 0:
+            raise ValueError("first call")
+        return a + b
+
+    try:
+        run_parallel(kernel, list(range(n)), op, 2)
+    except ValueError as exc:
+        return len(traceback.extract_tb(exc.__traceback__))
+    pytest.fail("the operator's error did not reach the caller")
+
+
+def test_failed_run_leaves_no_cyclic_garbage():
+    # Every task downstream of the failed call fails with the same error.
+    # Raising it again in each task would grow its traceback with the chain,
+    # and a traceback frame that holds a future holding the error is a cycle.
+    assert failed_run_traceback_length(SERIAL, 20) == \
+        failed_run_traceback_length(SERIAL, 2000)
+    gc.collect()
+    gc.disable()
+    try:
+        failed_run_traceback_length(BRENT_KUNG, 64)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 from itertools import accumulate
 
@@ -86,6 +88,14 @@ def test_top_absorbs():
     assert interval_plus(Range(1, 1), TOP) is TOP
     assert interval_plus(TOP, TOP) is TOP
     assert interval_plus(TOP, IDENTITY) is TOP
+
+
+def test_sentinels_are_themselves_after_copy_and_pickle():
+    for sentinel in (IDENTITY, TOP):
+        assert copy.copy(sentinel) is sentinel
+        assert copy.deepcopy([sentinel])[0] is sentinel
+        assert pickle.loads(pickle.dumps(sentinel)) is sentinel
+    assert (repr(IDENTITY), repr(TOP)) == ("ID", "TOP")
 
 
 def test_range_requires_ordered_bounds():
