@@ -18,7 +18,6 @@ from .ops import AssocOp, builtin_ops, check_associative
 from .render import Diagram, Gate, layout, svg_string
 from .runtime import (
     Cluster,
-    Future,
     TaskGraph,
     bench,
     critical_path,

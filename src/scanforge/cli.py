@@ -67,11 +67,11 @@ def format_element(op_name: str, x) -> str:
     return str(x)
 
 
-def _get_kernel(args) -> kernels.ScanKernel:
+def _get_kernel(name: str, chunks: int) -> kernels.ScanKernel:
     try:
-        return kernels.get_kernel(args.kernel, getattr(args, "chunks", 4))
+        return kernels.get_kernel(name, chunks)
     except KeyError as e:
-        raise UsageError(str(e))
+        raise UsageError(e.args[0])
 
 
 def _get_op(name: str) -> ops.AssocOp:
@@ -88,7 +88,7 @@ class UsageError(Exception):
 
 
 def _cmd_run(args) -> int:
-    kernel = _get_kernel(args)
+    kernel = _get_kernel(args.kernel, args.chunks)
     op = _get_op(args.op)
     if args.input is not None:
         text = args.input
@@ -109,7 +109,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    kernel = _get_kernel(args)
+    kernel = _get_kernel(args.kernel, args.chunks)
     _check_fixed(kernel, args.n)
     history = tracing.run_traced(kernel, args.n)
     text = tracing.trace_to_json(history) + "\n"
@@ -141,7 +141,7 @@ def _cmd_render(args) -> int:
     else:
         if args.kernel is None or args.n is None:
             raise UsageError("render requires --trace or both --kernel and --n")
-        kernel = _get_kernel(args)
+        kernel = _get_kernel(args.kernel, args.chunks)
         _check_fixed(kernel, args.n)
         history = tracing.run_traced(kernel, args.n)
         n = args.n
@@ -157,7 +157,7 @@ def _check_fixed(kernel: kernels.ScanKernel, n: int) -> None:
 
 
 def _cmd_verify(args) -> int:
-    kernel = _get_kernel(args)
+    kernel = _get_kernel(args.kernel, args.chunks)
     _check_fixed(kernel, args.n)
     report = verify.verify_parallel(kernel, args.n)
     print(report.to_json())
@@ -187,8 +187,8 @@ def _cmd_bench(args) -> int:
     names = [k for k in args.kernels.split(",") if k]
     if len(names) != 2:
         raise UsageError("bench expects two kernels: a serial and a parallel one")
-    serial = kernels.get_kernel(names[0], args.chunks)
-    parallel = kernels.get_kernel(names[1], args.chunks)
+    serial = _get_kernel(names[0], args.chunks)
+    parallel = _get_kernel(names[1], args.chunks)
     rows = runtime.bench(
         serial,
         parallel,

@@ -1,28 +1,30 @@
-"""Task-parallel execution of scan kernels over futures.
+"""Task-parallel execution of scan kernels from the plan's schedule.
 
 A scan kernel is oblivious, so its checked plan fixes the whole task graph
 before any value exists. `run_parallel` takes the plan's cached schedule
-(the same one the virtual clock reads) and runs it on worker threads: each
-update is one task on the owner of its right operand, and the output of a
-task is a new write-once future. The scheduler is stage-synchronous at the
+(the same one the virtual clock reads) and interprets it on worker threads:
+each update is one task on the owner of its right operand, and every value
+has one slot in a flat list indexed by the schedule's ids (seeds 1..n, task
+k writes id n + k), so each slot is written once. Each worker runs its own
+task list in plan order. A task waits on the locks of its dependencies on
+other workers, each released once that task has run; those on its own
+worker hold by list order. The scheduler is stage-synchronous at the
 granularity of per-cell access order — a task runs only after every earlier
 task that touched any of its cells — which makes the makespan equal the
 critical path of the task graph and the measured speedup follow the
-(p-1) / tree-depth model. A task waits on the futures of its dependencies
-on other workers; those on its own worker hold by FIFO order. A kernel that
-breaks the store contract raises `ContractError` before any thread starts.
+(p-1) / tree-depth model. A kernel that breaks the store contract raises
+`ContractError` before any thread starts.
 
-Workers are in-process threads with FIFO task queues, not OS processes;
-the blocking-fetch contract, not the transport, is what matters here. At
-most MAX_WORKERS threads run per cluster. A virtual-clock mode reads exact
-tick counts from the same schedule without threads.
+Workers are in-process threads, not OS processes; the wait on a
+dependency, not the transport, is what matters here. At most MAX_WORKERS
+threads run per cluster. A virtual-clock mode reads exact tick counts from
+the same schedule without threads.
 """
 
 from __future__ import annotations
 
-import _thread
 import functools
-import itertools
+import math
 import os
 import threading
 import time
@@ -38,103 +40,19 @@ WORKERS_ENV = "SCANFORGE_WORKERS"
 # Most worker threads one Cluster starts; bench's default --p-range tops out at 32.
 MAX_WORKERS = 256
 
-_future_ids = itertools.count(1)
-_PENDING = object()  # a future's value until it is resolved or failed
-
-
-class Future:
-    """A write-once value handle; fetch blocks until resolution."""
-
-    __slots__ = ("id", "owner", "_lock", "_value", "_error")
-
-    def __init__(self, owner: int):
-        self.id = next(_future_ids)
-        self.owner = owner
-        self._lock = _thread.allocate_lock()
-        self._lock.acquire()  # held until the future is resolved or failed
-        self._value = _PENDING
-        self._error: BaseException | None = None
-
-    @classmethod
-    def resolved(cls, value, owner: int) -> "Future":
-        f = cls(owner)
-        f.resolve(value)
-        return f
-
-    def resolve(self, value) -> None:
-        if self.done:
-            raise RuntimeError(f"future {self.id} resolved twice")
-        self._value = value
-        self._lock.release()
-
-    def fail(self, error: BaseException) -> None:
-        if self.done:
-            raise RuntimeError(f"future {self.id} resolved twice")
-        self._error = error
-        self._value = None
-        self._lock.release()
-
-    def _wait(self) -> None:
-        self._lock.acquire()
-        self._lock.release()
-
-    def fetch(self):
-        self._wait()
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    @property
-    def done(self) -> bool:
-        return self._value is not _PENDING
-
-
-class _Task:
-    """One operator application bound to a worker."""
-
-    __slots__ = ("op", "left", "right", "out", "waits")
-
-    def __init__(self, op, left: Future, right: Future, out: Future,
-                 waits: Sequence[Future] = ()):
-        self.op = op
-        self.left = left
-        self.right = right
-        self.out = out
-        self.waits = waits  # outputs of dependencies on other workers
-
-    def run(self) -> None:
-        for f in self.waits:
-            f._wait()
-        left, right = self.left, self.right
-        left._wait()
-        right._wait()
-        error = left._error if left._error is not None else right._error
-        if error is not None:  # a poisoned input: pass its error on, unraised
-            self.out.fail(error)
-            return
-        try:
-            value = self.op(left._value, right._value)
-        except BaseException as exc:  # poison, do not kill the worker
-            self.out.fail(exc)
-            self = None  # break exc -> traceback -> this frame -> task -> exc
-            return
-        self.out.resolve(value)
-
-
 _STOP = object()
 
 
 class _Worker:
-    def __init__(self, wid: int):
-        self.id = wid
+    def __init__(self):
         self.queue: SimpleQueue = SimpleQueue()
         self.thread = threading.Thread(target=self._loop, daemon=True)
         self.thread.start()
 
     def _loop(self) -> None:
         get = self.queue.get
-        while (task := get()) is not _STOP:
-            task.run()
+        while (job := get()) is not _STOP:
+            job()
 
 
 def _check_workers(workers: int) -> None:
@@ -145,19 +63,14 @@ def _check_workers(workers: int) -> None:
 
 
 class Cluster:
-    """A pool of FIFO workers that tasks are scheduled onto."""
+    """A pool of FIFO worker threads, numbered from 1, that run jobs."""
 
     def __init__(self, workers: int):
         _check_workers(workers)
-        self.workers = [_Worker(wid) for wid in range(1, workers + 1)]
+        self.workers = [_Worker() for _ in range(workers)]
 
-    def seed(self, value, index: int) -> Future:
-        """A resolved future for element `index` (1-based), round-robin owned."""
-        owner = self.workers[(index - 1) % len(self.workers)].id
-        return Future.resolved(value, owner)
-
-    def submit(self, task: _Task) -> None:
-        self.workers[task.out.owner - 1].queue.put(task)
+    def submit(self, worker: int, job: Callable[[], None]) -> None:
+        self.workers[worker - 1].queue.put(job)
 
     def shutdown(self) -> None:
         for w in self.workers:
@@ -191,8 +104,8 @@ def run_parallel_detailed(
     """Run the kernel's plan on worker threads; also return the task graph.
 
     The graph is the plan's cached schedule, the one `run_virtual` and
-    `build_task_graph` read: in it, seeds are futures 1..n and task k
-    outputs future n + k.
+    `build_task_graph` read: in it, seeds are values 1..n and task k
+    writes value n + k.
     """
     _check_workers(workers)
     n = len(values)
@@ -211,26 +124,46 @@ def _run_schedule(plan: Plan, nodes: Sequence[TaskNode], values: Sequence[Any],
                   op: Callable, workers: int) -> tuple[list | None, BaseException | None]:
     """The final value of every cell, or the error that poisoned the first
     failed cell. An operator's error is returned, not raised, so that no
-    traceback holds this frame's futures."""
+    traceback holds this frame's values."""
     n = len(values)
+    slots = list(values) + [None] * len(nodes)  # by schedule id - 1
+    errors: dict[int, BaseException] = {}  # slot -> the error that failed it
+    done = []  # by task ordinal - 1: a lock held until that task has run
+    jobs: list[list] = [[] for _ in range(workers)]
+    cells = list(range(n))  # slot of each cell's final value
+    for (_, _, w), node in zip(_updates(plan), nodes):
+        lock = threading.Lock()
+        lock.acquire()
+        done.append(lock)
+        waits = [done[d - 1] for d in node.deps if nodes[d - 1].owner != node.owner]
+        jobs[node.owner - 1].append((node.left_id - 1, node.right_id - 1,
+                                     node.out_id - 1, waits, lock))
+        cells[w] = node.out_id - 1
     with Cluster(workers) as cluster:  # shutdown() returns once every task ran
-        futures = [cluster.seed(v, i) for i, v in enumerate(values, start=1)]
-        cells = futures[:n]
-        tasks = []
-        for (_, _, w), node in zip(_updates(plan), nodes):
-            out = Future(node.owner)
-            waits = [futures[n + d - 1] for d in node.deps
-                     if nodes[d - 1].owner != node.owner]
-            tasks.append(_Task(op, futures[node.left_id - 1],
-                               futures[node.right_id - 1], out, waits))
-            futures.append(out)
-            cells[w] = out
-        for task in tasks:
-            cluster.submit(task)
-    for f in cells:
-        if f._error is not None:
-            return None, f._error
-    return [f._value for f in cells], None
+        for worker, tasks in enumerate(jobs, start=1):
+            cluster.submit(worker, functools.partial(_run_tasks, tasks, slots, errors, op))
+    for s in cells:
+        if s in errors:
+            return None, errors[s]
+    return [slots[s] for s in cells], None
+
+
+def _run_tasks(tasks: list, slots: list, errors: dict, op: Callable) -> None:
+    """One worker's task list, in plan order."""
+    for left, right, out, waits, done in tasks:
+        for lock in waits:
+            lock.acquire()
+            lock.release()
+        if errors and (left in errors or right in errors):
+            # a poisoned input: pass its error on, unraised
+            errors[out] = errors[left] if left in errors else errors[right]
+        else:
+            try:
+                slots[out] = op(slots[left], slots[right])
+            except BaseException as exc:  # poison, do not kill the worker
+                errors[out] = exc
+        done.release()
+    errors = None  # a failed call's traceback holds this frame: no cycle through it
 
 
 # --- Task graphs and the speedup model -----------------------------------
@@ -307,8 +240,8 @@ class VirtualRun:
 def _schedule(plan: Plan, n: int, workers: int) -> tuple[int, tuple[TaskNode, ...]]:
     """The plan's task graph on FIFO workers, and its depth in tasks.
 
-    Seeds are futures 1..n, element i owned by worker (i-1) % workers + 1.
-    Update k is task k; its output is future n + k, owned by the owner of its
+    Seeds are values 1..n, element i owned by worker (i-1) % workers + 1.
+    Update k is task k; its output is value n + k, owned by the owner of its
     right read. Task k depends on the last task to touch each of its cells,
     on its worker's previous task and on the producer of the value it
     overwrites. Cached on the plan's value, so equal plans share one
@@ -316,7 +249,7 @@ def _schedule(plan: Plan, n: int, workers: int) -> tuple[int, tuple[TaskNode, ..
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    fid = list(range(1, n + 1))  # future id of each cell's current value
+    fid = list(range(1, n + 1))  # id of each cell's current value
     owner = [i % workers + 1 for i in range(n)]
     producer = [0] * n  # task that wrote each cell's value; 0 for a seed
     toucher = [0] * n  # last task to touch each cell
@@ -403,6 +336,10 @@ def bench(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not math.isfinite(op_cost):
+        raise ValueError(f"op_cost must be finite, got {op_cost}")
+    if op_cost < 0 and not virtual:
+        raise ValueError(f"op_cost must be >= 0 seconds, got {op_cost}")
     ps = list(ps)
     if not virtual:  # refuse an over-cap row before any row starts threads
         for p in ps:

@@ -2,8 +2,8 @@
 
 All stores are 1-based: valid indices run from 1 to len(store). The
 kernels address elements exclusively through get/put, so anything that
-implements this small interface (a plain list wrapper, an access tracer,
-an array of futures) can be driven by the same kernel code.
+implements this small interface (a plain list wrapper or an access
+tracer) can be driven by the same kernel code.
 """
 
 from __future__ import annotations

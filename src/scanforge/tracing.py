@@ -99,7 +99,10 @@ def trace_to_json(history: TraceHistory) -> str:
 
 def trace_from_json(text: str) -> TraceHistory:
     """Parse trace_to_json output; a malformed row raises ValueError naming it."""
-    rows = json.loads(text)
+    try:
+        rows = json.loads(text)
+    except RecursionError:
+        raise ValueError("a trace nests its JSON too deeply") from None
     if not isinstance(rows, list):
         raise ValueError("a trace is a JSON list of rows")
     history = []

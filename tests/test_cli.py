@@ -143,6 +143,25 @@ def test_bench_refuses_bad_worker_count(monkeypatch, capsys, workers, complaint)
     assert threading.active_count() == before
 
 
+def test_bench_unknown_kernel_is_usage_error(capsys):
+    # get_kernel's KeyError used to escape as a traceback with exit 1.
+    assert main(["bench", "--kernels", "serial,foo", "--virtual-clock"]) == 2
+    assert "unknown kernel 'foo'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    "--op-cost=inf", "--op-cost=1e309", "--op-cost=nan", "--op-cost=-1",
+    "--op-cost=inf --virtual-clock", "--op-cost=1e309 --virtual-clock",
+    "--op-cost=nan --virtual-clock",
+])
+def test_bench_refuses_bad_op_cost(capsys, flags):
+    # inf used to overflow in time.sleep or int(); -1 failed only in a worker.
+    before = threading.active_count()
+    assert main(["bench", "--p-range", "4", "--trials", "1"] + flags.split()) == 2
+    assert "op_cost" in capsys.readouterr().err
+    assert threading.active_count() == before
+
+
 def test_no_leftover_temp_files(tmp_path):
     out = tmp_path / "t.json"
     assert main(["trace", "--kernel", "serial", "--n", "4",
@@ -192,4 +211,13 @@ def test_render_rejects_malformed_trace(tmp_path, capsys, rows, n, complaint):
     argv = ["render", "--trace", str(trace), "--out", str(tmp_path / "t.svg")]
     assert main(argv + (["--n", str(n)] if n else [])) == 2
     assert complaint in capsys.readouterr().err
+    assert not (tmp_path / "t.svg").exists()
+
+
+def test_render_rejects_deeply_nested_trace(tmp_path, capsys):
+    # json.loads used to end in a RecursionError traceback.
+    trace = tmp_path / "t.json"
+    trace.write_text("[" * 100_000)
+    assert main(["render", "--trace", str(trace), "--out", str(tmp_path / "t.svg")]) == 2
+    assert "nests" in capsys.readouterr().err
     assert not (tmp_path / "t.svg").exists()

@@ -25,7 +25,6 @@ from scanforge.runtime import (
     MAX_WORKERS,
     Cluster,
     CycleError,
-    Future,
     TaskGraph,
     TaskNode,
     bench,
@@ -44,30 +43,10 @@ def add(a, b):
     return a + b
 
 
-def test_fetch_blocks_until_resolved():
-    f = Future(owner=1)
-    assert not f.done
-    resolver = threading.Timer(0.05, f.resolve, args=(7,))
-    resolver.start()
-    assert f.fetch() == 7  # waits for the timer thread's resolve
-    resolver.join(timeout=10)
-
-
-def test_future_resolves_exactly_once():
-    f = Future(owner=1)
-    f.resolve(1)
-    with pytest.raises(RuntimeError):
-        f.resolve(2)
-
-
 def test_poisoned_future_reports_error():
     def boom(a, b):
         raise ZeroDivisionError("bad op")
 
-    f = Future(owner=1)
-    f.fail(ZeroDivisionError("bad op"))
-    with pytest.raises(ZeroDivisionError):
-        f.fetch()
     with pytest.raises(ZeroDivisionError):
         run_parallel(SERIAL, [1, 2], boom, 1)
 
@@ -125,6 +104,22 @@ def test_run_parallel_propagates_operator_errors():
 
     with pytest.raises(ValueError):
         run_parallel(BRENT_KUNG, list(range(1, 9)), boom, 4)
+
+
+def test_failed_run_raises_error_of_lowest_failed_cell():
+    # Cell 4's update fails on worker 4 after cell 6's has failed on worker 2;
+    # the error that reaches cell 4 (and, through it, every later cell) wins.
+    def op(a, b):
+        if (a, b) == (3, 4):
+            time.sleep(0.002)
+            raise LookupError("cell 4")
+        if (a, b) == (5, 6):
+            raise TypeError("cell 6")
+        return a + b
+
+    for _ in range(25):
+        with pytest.raises(LookupError):
+            run_parallel(BRENT_KUNG, list(range(1, 9)), op, 4)
 
 
 @pytest.mark.parametrize("fn", mutants.CONTRACT_BREACHES)
