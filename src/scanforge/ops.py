@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
-from .verify import IDENTITY, interval_plus
-
 
 @dataclass(frozen=True)
 class AssocOp:
@@ -55,6 +53,62 @@ def matmul(dim: int) -> AssocOp:
 
     eye = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
     return AssocOp(f"matmul{dim}", combine, identity=eye)
+
+
+# --- The interval monoid, with which verify checks a kernel ---------------
+
+
+@dataclass(frozen=True)
+class Range:
+    """A contiguous 1-based index range lo..hi."""
+
+    lo: int
+    hi: int
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError(f"empty range {self.lo}..{self.hi}")
+
+    def __repr__(self):
+        return f"{self.lo}:{self.hi}"
+
+
+class _Sentinel:
+    """A constant compared with `is`; a copy or an unpickled one is itself."""
+
+    def __init__(self, repr_: str, name: str):
+        self._repr = repr_
+        self._name = name  # the module global that holds it
+
+    def __repr__(self):
+        return self._repr
+
+    def __reduce__(self):
+        return self._name
+
+
+IDENTITY = _Sentinel("ID", "IDENTITY")
+TOP = _Sentinel("TOP", "TOP")
+
+Interval = object  # Range | IDENTITY | TOP
+
+
+def interval_plus(a: Interval, b: Interval) -> Interval:
+    """The interval-monoid operator.
+
+    Cases are ordered most-specific first, mirroring how an overload table
+    with a catch-all absorbing case resolves: contiguous ranges join,
+    identity is neutral on either side, everything else collapses to TOP.
+    """
+    if isinstance(a, Range) and isinstance(b, Range):
+        return Range(a.lo, b.hi) if a.hi + 1 == b.lo else TOP
+    if a is IDENTITY and b is IDENTITY:
+        return IDENTITY
+    if b is IDENTITY:
+        return a
+    if a is IDENTITY:
+        return b
+    return TOP
 
 
 def builtin_ops() -> dict[str, AssocOp]:

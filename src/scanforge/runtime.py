@@ -110,14 +110,14 @@ def run_parallel_detailed(
     _check_workers(workers)
     n = len(values)
     plan = _kernel_plan(kernel, n)
-    _, nodes = _schedule(plan, n, workers)
-    results, error = _run_schedule(plan, nodes, values, op, workers)
+    graph = _schedule(plan, n, workers)
+    results, error = _run_schedule(plan, graph.nodes, values, op, workers)
     if error is not None:
         try:
             raise error
         finally:
             error = None  # the traceback holds this frame: no cycle through it
-    return results, TaskGraph(list(nodes))
+    return results, graph
 
 
 def _run_schedule(plan: Plan, nodes: Sequence[TaskNode], values: Sequence[Any],
@@ -179,32 +179,36 @@ class TaskNode:
     deps: tuple[int, ...]
 
 
-@dataclass
+class CycleError(RuntimeError):
+    pass
+
+
+@dataclass(frozen=True, slots=True)
 class TaskGraph:
-    nodes: list[TaskNode] = field(default_factory=list)
+    """Tasks in plan order and their depth: the longest dependency chain,
+    in tasks. A task may depend only on earlier tasks (else CycleError)."""
+
+    nodes: tuple[TaskNode, ...] = ()
+    depth: int = field(init=False)
+
+    def __post_init__(self):
+        nodes = tuple(self.nodes)
+        chain: dict[int, int] = {}  # longest chain ending at each task
+        for node in nodes:
+            for d in node.deps:
+                if d >= node.ordinal:
+                    raise CycleError(f"task {node.ordinal} depends on non-earlier task {d}")
+            chain[node.ordinal] = 1 + max((chain[d] for d in node.deps), default=0)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "depth", max(chain.values(), default=0))
 
     def __len__(self) -> int:
         return len(self.nodes)
 
 
-class CycleError(RuntimeError):
-    pass
-
-
 def critical_path(graph: TaskGraph, op_cost: int = 1) -> int:
     """Longest dependency chain, in operator applications times op_cost."""
-    comp: dict[int, int] = {}
-    longest = 0
-    for node in graph.nodes:
-        for d in node.deps:
-            if d >= node.ordinal:
-                raise CycleError(
-                    f"task {node.ordinal} depends on non-earlier task {d}"
-                )
-        depth = 1 + max((comp[d] for d in node.deps), default=0)
-        comp[node.ordinal] = depth
-        longest = max(longest, depth)
-    return longest * op_cost
+    return graph.depth * op_cost
 
 
 def _floor_log2(p: int) -> int:
@@ -237,8 +241,8 @@ class VirtualRun:
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _schedule(plan: Plan, n: int, workers: int) -> tuple[int, tuple[TaskNode, ...]]:
-    """The plan's task graph on FIFO workers, and its depth in tasks.
+def _schedule(plan: Plan, n: int, workers: int) -> TaskGraph:
+    """The plan's task graph on FIFO workers.
 
     Seeds are values 1..n, element i owned by worker (i-1) % workers + 1.
     Update k is task k; its output is value n + k, owned by the owner of its
@@ -254,17 +258,15 @@ def _schedule(plan: Plan, n: int, workers: int) -> tuple[int, tuple[TaskNode, ..
     producer = [0] * n  # task that wrote each cell's value; 0 for a seed
     toucher = [0] * n  # last task to touch each cell
     last_on: dict[int, int] = {}  # last task of each worker
-    depth = [0]  # by task ordinal; task 0 stands for "none"
     nodes = []
     for k, (a, b, w) in enumerate(_updates(plan), start=1):
         o = owner[b]
         deps = {toucher[a], toucher[b], toucher[w], last_on.get(o, 0), producer[w]}
-        depth.append(1 + max(depth[d] for d in deps))
         deps.discard(0)
         nodes.append(TaskNode(k, fid[a], fid[b], n + k, o, tuple(sorted(deps))))
         toucher[a] = toucher[b] = toucher[w] = last_on[o] = producer[w] = k
         fid[w], owner[w] = n + k, o
-    return max(depth), tuple(nodes)
+    return TaskGraph(nodes)
 
 
 def run_virtual(
@@ -283,16 +285,15 @@ def run_virtual(
     """
     n = len(values)
     plan = _kernel_plan(kernel, n)
-    unit_ticks, nodes = _schedule(plan, n, workers)
+    graph = _schedule(plan, n, workers)
     data = list(values)
     _replay(plan, data, op)
-    return VirtualRun(data, unit_ticks * op_cost, TaskGraph(list(nodes)))
+    return VirtualRun(data, graph.depth * op_cost, graph)
 
 
 def build_task_graph(kernel: ScanKernel | Callable, n: int, workers: int = 0) -> TaskGraph:
     """Task graph of one kernel run at size n (workers defaults to n)."""
-    _, nodes = _schedule(_kernel_plan(kernel, n), n, workers or max(n, 1))
-    return TaskGraph(list(nodes))
+    return _schedule(_kernel_plan(kernel, n), n, workers or max(n, 1))
 
 
 # --- Benchmark harness -----------------------------------------------------
@@ -338,27 +339,24 @@ def bench(
         raise ValueError("trials must be >= 1")
     if not math.isfinite(op_cost):
         raise ValueError(f"op_cost must be finite, got {op_cost}")
-    if op_cost < 0 and not virtual:
-        raise ValueError(f"op_cost must be >= 0 seconds, got {op_cost}")
+    # time.sleep(s) fails unless now + s on the monotonic clock is below TIMEOUT_MAX
+    longest = threading.TIMEOUT_MAX - time.monotonic()
+    if not virtual and not 0 <= op_cost <= longest:
+        raise ValueError(f"op_cost must be between 0 and {longest:.0f} seconds, got {op_cost}")
     ps = list(ps)
     if not virtual:  # refuse an over-cap row before any row starts threads
         for p in ps:
             _check_workers(worker_count(p))
     rows = []
     for p in ps:
-        values = list(range(1, p + 1))
         workers = worker_count(p)
         if virtual:
             cost = max(1, int(op_cost))
-            t_s = min(
-                run_virtual(serial_kernel, values, _add, workers, cost).ticks
-                for _ in range(trials)
-            )
-            t_p = min(
-                run_virtual(parallel_kernel, values, _add, workers, cost).ticks
-                for _ in range(trials)
-            )
+            # ticks are exact: one schedule per kernel, whatever trials is
+            t_s = _schedule(_kernel_plan(serial_kernel, p), p, workers).depth * cost
+            t_p = _schedule(_kernel_plan(parallel_kernel, p), p, workers).depth * cost
         else:
+            values = list(range(1, p + 1))
             op = _delayed_add(op_cost)
             t_s = _min_wall_ns(serial_kernel, values, op, workers, trials)
             t_p = _min_wall_ns(parallel_kernel, values, op, workers, trials)
@@ -366,10 +364,6 @@ def bench(
             BenchRow(p, t_s, t_p, t_s / t_p, float(speedup_model(p)))
         )
     return rows
-
-
-def _add(a, b):
-    return a + b
 
 
 def _delayed_add(seconds: float):

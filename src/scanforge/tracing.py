@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from . import kernels  # the module, not its names: kernels is still loading here
+from .kernels import ScanKernel, _kernel_plan, _updates
 
 
 @dataclass(frozen=True)
@@ -26,14 +26,14 @@ class Transaction:
 TraceHistory = list[Transaction]
 
 
-def run_traced(kernel: kernels.ScanKernel | Callable, n: int) -> TraceHistory:
+def run_traced(kernel: ScanKernel | Callable, n: int) -> TraceHistory:
     """The transactions of one kernel run at length n, read from its plan.
 
     A kernel that breaks the store contract raises kernels.ContractError.
     """
     if n < 0:
         raise ValueError("length must be >= 0")
-    updates = kernels._updates(kernels._kernel_plan(kernel, n))
+    updates = _updates(_kernel_plan(kernel, n))
     return [Transaction((a + 1, b + 1), w + 1) for a, b, w in updates]
 
 

@@ -11,64 +11,12 @@ parallel as well.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
-from . import kernels  # the module, not its names: kernels imports ops, ops this
+from .kernels import ScanKernel, _kernel_plan, _replay
+from .ops import IDENTITY, TOP, Interval, Range, interval_plus
 from .tracing import Transaction, infer_depths, run_traced
-
-
-@dataclass(frozen=True)
-class Range:
-    """A contiguous 1-based index range lo..hi."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty range {self.lo}..{self.hi}")
-
-    def __repr__(self):
-        return f"{self.lo}:{self.hi}"
-
-
-class _Sentinel:
-    """A constant compared with `is`; a copy or an unpickled one is itself."""
-
-    def __init__(self, repr_: str, name: str):
-        self._repr = repr_
-        self._name = name  # the module global that holds it
-
-    def __repr__(self):
-        return self._repr
-
-    def __reduce__(self):
-        return self._name
-
-
-IDENTITY = _Sentinel("ID", "IDENTITY")
-TOP = _Sentinel("TOP", "TOP")
-
-Interval = object  # Range | IDENTITY | TOP
-
-
-def interval_plus(a: Interval, b: Interval) -> Interval:
-    """The interval-monoid operator.
-
-    Cases are ordered most-specific first, mirroring how an overload table
-    with a catch-all absorbing case resolves: contiguous ranges join,
-    identity is neutral on either side, everything else collapses to TOP.
-    """
-    if isinstance(a, Range) and isinstance(b, Range):
-        return Range(a.lo, b.hi) if a.hi + 1 == b.lo else TOP
-    if a is IDENTITY and b is IDENTITY:
-        return IDENTITY
-    if b is IDENTITY:
-        return a
-    if a is IDENTITY:
-        return b
-    return TOP
 
 
 def seed_intervals(n: int) -> list:
@@ -110,18 +58,10 @@ class ParallelReport:
     conflicts: Optional[tuple[int, int]] = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kernel": self.kernel,
-                "n": self.n,
-                "ok": self.ok,
-                "first_top": self.first_top,
-                "conflicts": list(self.conflicts) if self.conflicts else None,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
-def verify_serial(kernel: kernels.ScanKernel | Callable, n: int) -> VerificationReport:
+def verify_serial(kernel: ScanKernel | Callable, n: int) -> VerificationReport:
     """Serial correctness: scan the unit ranges and demand [1:k for k=1..n].
 
     first_top is the 1-based ordinal of the first operator application that
@@ -140,9 +80,9 @@ def verify_serial(kernel: kernels.ScanKernel | Callable, n: int) -> Verification
         return r
 
     output = seed_intervals(n)
-    kernels._replay(kernels._kernel_plan(kernel, n), output, counting_plus)
+    _replay(_kernel_plan(kernel, n), output, counting_plus)
     expected = expected_intervals(n)
-    name = kernel.name if isinstance(kernel, kernels.ScanKernel) else getattr(
+    name = kernel.name if isinstance(kernel, ScanKernel) else getattr(
         kernel, "__name__", "kernel"
     )
     ok = output == expected and state["first_top"] is None
@@ -167,13 +107,13 @@ def race_check_history(history: list[Transaction]) -> RaceReport:
     return RaceReport(True)
 
 
-def verify_race_free(kernel: kernels.ScanKernel | Callable, n: int) -> RaceReport:
+def verify_race_free(kernel: ScanKernel | Callable, n: int) -> RaceReport:
     if n < 1:
         raise ValueError("n must be >= 1")
     return race_check_history(run_traced(kernel, n))
 
 
-def verify_parallel(kernel: kernels.ScanKernel | Callable, n: int) -> ParallelReport:
+def verify_parallel(kernel: ScanKernel | Callable, n: int) -> ParallelReport:
     """Parallel correctness = serial correctness + race-free staging.
 
     Both read the kernel's plan; a ScanKernel's code runs once, to record it.

@@ -150,7 +150,7 @@ def test_bench_unknown_kernel_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    "--op-cost=inf", "--op-cost=1e309", "--op-cost=nan", "--op-cost=-1",
+    "--op-cost=inf", "--op-cost=1e309", "--op-cost=nan", "--op-cost=-1", "--op-cost=1e20",
     "--op-cost=inf --virtual-clock", "--op-cost=1e309 --virtual-clock",
     "--op-cost=nan --virtual-clock",
 ])

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 import mutants
 from scanforge.kernels import KERNEL_NAMES, ScanKernel, get_kernel
 from scanforge.ops import builtin_ops
-from scanforge.runtime import build_task_graph, run_parallel_detailed, run_virtual
+from scanforge.runtime import (
+    build_task_graph,
+    critical_path,
+    run_parallel_detailed,
+    run_virtual,
+)
 from scanforge.stores import ListStore
 
 CONCAT = builtin_ops()["concat"]
@@ -72,3 +77,4 @@ def test_every_executor_agrees(name, n, chunks, workers, data):
     results, graph = run_parallel_detailed(kernel, values, CONCAT, workers)
     assert results == stream
     assert graph.nodes == build_task_graph(kernel, n, workers).nodes
+    assert critical_path(graph) == run_virtual(kernel, values, CONCAT, workers).ticks

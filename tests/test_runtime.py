@@ -154,6 +154,15 @@ def test_worker_cap_is_refused_before_any_thread_starts():
     assert threading.active_count() == before
 
 
+def test_bench_refuses_an_op_cost_sleep_cannot_take():
+    # time.sleep(TIMEOUT_MAX) fails on Linux: its deadline, now + TIMEOUT_MAX on
+    # the monotonic clock, is past the clock's range.
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="op_cost"):
+        bench(SERIAL, BRENT_KUNG, [4], op_cost=threading.TIMEOUT_MAX, trials=1)
+    assert threading.active_count() == before
+
+
 def test_finished_run_leaves_no_cyclic_garbage():
     # Unfreed cycles would hold every task, future and Event until a full GC.
     gc.collect()
@@ -230,9 +239,8 @@ def test_critical_path_examples():
 
 
 def test_critical_path_rejects_cycles():
-    graph = TaskGraph([TaskNode(1, 1, 2, 3, 1, deps=(1,))])
     with pytest.raises(CycleError):
-        critical_path(graph)
+        TaskGraph([TaskNode(1, 1, 2, 3, 1, deps=(1,))])
 
 
 def test_speedup_model_values():
@@ -257,6 +265,8 @@ def test_virtual_bench_ratio_matches_model():
                  virtual=True)
     for row in rows:
         assert Fraction(row.t_serial, row.t_parallel) == speedup_model(row.p)
+    assert bench(SERIAL, BRENT_KUNG, [4, 8, 16, 32], op_cost=1, trials=3,
+                 virtual=True) == rows
 
 
 def test_bench_trials_take_minimum():

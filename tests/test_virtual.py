@@ -45,18 +45,18 @@ def test_run_virtual_equals_the_simulator(name, n, chunks, op_cost, data):
 
 
 def test_runs_share_no_mutable_state():
+    # Every run reads the one cached graph, so the graph must be immutable.
     values = list(range(16))
     first = run_virtual(BRENT_KUNG, values, OPS["add"], 4)
-    nodes = list(first.graph.nodes)
-    first.graph.nodes.reverse()
-    first.results.clear()
-    build_task_graph(BRENT_KUNG, 16, 4).nodes.clear()
-    second = run_virtual(BRENT_KUNG, values, OPS["add"], 4)
-    assert second.graph.nodes == nodes
-    assert build_task_graph(BRENT_KUNG, 16, 4).nodes == nodes
-    assert second.results == [sum(range(i + 1)) for i in range(16)]
+    assert first.graph is build_task_graph(BRENT_KUNG, 16, 4)
+    assert isinstance(first.graph.nodes, tuple)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        second.graph.nodes[0].deps = (1,)
+        first.graph.nodes = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.graph.nodes[0].deps = (1,)
+    first.results.clear()
+    second = run_virtual(BRENT_KUNG, values, OPS["add"], 4)
+    assert second.results == [sum(range(i + 1)) for i in range(16)]
 
 
 @pytest.mark.parametrize("fn", mutants.CONTRACT_BREACHES)
