@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from .ops import AssocOp
@@ -109,6 +109,7 @@ class ContractError(Exception):
 
 
 _PLAN_CACHE_SIZE = 64
+_PASS = 2048  # updates per C-level pass of _replay; bounds the results held unwritten
 _FIRST, _SECOND = object(), object()  # what a recorded get hands to the kernel
 _APPLIED = object()  # what the recording operator returns
 
@@ -227,13 +228,60 @@ def _updates(plan: Plan) -> Iterator[tuple[int, int, int]]:
                        _progression(w, dw, count))
 
 
+def _reads_before_writes(r: int, dr: int, w: int, dw: int, count: int) -> bool:
+    """No read r + k*dr (dr >= 0, dw > 0) is a cell w + j*dw, j < k, that an
+    earlier update of the segment wrote: every read lies below or above every
+    write, or the reads keep the writes' step and do not trail them by whole
+    steps."""
+    if r + dr * (count - 1) < w or r > w + dw * (count - 1):
+        return True
+    return dr == dw and (w <= r or (w - r) % dw != 0)
+
+
+def _segment_path(a: int, b: int, w: int, da: int, db: int, dw: int, count: int) -> str:
+    """How _replay runs a segment, by arithmetic on its seven numbers.
+
+    "chain": the unit chain d[i] = op(d[i-1], d[i]), a left fold.
+    "alias-free": no update reads a cell that an earlier update wrote, so
+    every read is a value from before the segment.
+    "loop": the rest (one update, a negative step, a possible alias).
+    """
+    if count < 2 or dw <= 0 or da < 0 or db < 0:
+        return "loop"
+    if da == db == dw == 1 and b == w == a + 1:
+        return "chain"
+    if _reads_before_writes(a, da, w, dw, count) and _reads_before_writes(b, db, w, dw, count):
+        return "alias-free"
+    return "loop"
+
+
+def _cells(data: list, start: int, step: int, count: int) -> Iterable:
+    return data[start:start + step * count:step] if step else repeat(data[start], count)
+
+
 def _replay(plan: Plan, data: list, op: Callable) -> None:
+    """Run the plan on data, making the operator calls of the per-update loop
+    in the same order. A chain or alias-free segment runs as C-level passes
+    (accumulate or map) of up to _PASS updates each; a pass writes nothing
+    until the operator has made all of its calls."""
     # AssocOp.__call__ only forwards to fn; skipping it saves a frame per update.
     f = op.fn if type(op) is AssocOp else op
     for a, b, w, da, db, dw, count in plan:
-        for j, k, i in zip(_progression(a, da, count), _progression(b, db, count),
-                           _progression(w, dw, count)):
-            data[i] = f(data[j], data[k])
+        path = _segment_path(a, b, w, da, db, dw, count)
+        if path == "loop":
+            for j, k, i in zip(_progression(a, da, count), _progression(b, db, count),
+                               _progression(w, dw, count)):
+                data[i] = f(data[j], data[k])
+            continue
+        # Each pass is a segment of the same kind; a chain's pass refolds from
+        # the cell that the previous pass wrote last.
+        for k in range(0, count, _PASS):
+            m = min(_PASS, count - k)
+            a1, b1, w1 = a + k * da, b + k * db, w + k * dw
+            if path == "chain":
+                data[a1:w1 + m] = accumulate(data[a1:w1 + m], f)
+            else:
+                data[w1:w1 + dw * m:dw] = map(f, _cells(data, a1, da, m), _cells(data, b1, db, m))
 
 
 @dataclass(frozen=True, eq=False)

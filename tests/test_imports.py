@@ -1,4 +1,5 @@
-"""The package's modules import each other without a cycle.
+"""The package's modules import each other without a cycle, and nothing the
+package runs imports numpy.
 
 A cycle makes a module's names depend on import order: the module that is
 still loading must be imported as a module, not by its names. Imports under
@@ -7,6 +8,9 @@ still loading must be imported as a module, not by its names. Imports under
 
 import ast
 import graphlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "scanforge"
@@ -51,3 +55,27 @@ def test_package_imports_form_a_dag():
 
 def test_ops_imports_nothing_from_the_package():
     assert package_imports()["ops"] == set()
+
+
+NO_NUMPY = """
+import sys
+import scanforge as sf
+from scanforge.kernels import KERNEL_NAMES
+
+for name in KERNEL_NAMES:
+    kernel = sf.get_kernel(name)
+    n = kernel.fixed_length or 300
+    for op in sf.builtin_ops().values():
+        values = [op.identity if op.identity is not None else 1] * n
+        kernel(sf.ListStore(values), op)
+    assert sf.verify_parallel(kernel, n).ok
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+def test_runs_and_proofs_do_not_import_numpy():
+    # numpy's import alone costs about as much time and memory as a whole
+    # compute run, so no value run or proof may pull it in.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    subprocess.run([sys.executable, "-c", NO_NUMPY], env=env, check=True, timeout=120)

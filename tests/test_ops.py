@@ -86,3 +86,30 @@ def test_ops_are_first_class():
     doubled = AssocOp("add-doubled", lambda a, b: a + b + 1)
     got = scan_serial(ListStore([1, 1, 1]), doubled).to_list()
     assert got == [1, 3, 5]
+
+
+def textbook_matmul(dim):
+    """The combine matmul(dim) had before it summed over zipped columns."""
+
+    def combine(a, b):
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(dim)) for j in range(dim))
+            for i in range(dim)
+        )
+
+    return combine
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["int", "float"])
+def test_matmul_equals_textbook_product_exactly(dim, kind):
+    rng = random.Random(dim)
+    draw = (lambda: rng.randrange(-10**6, 10**6)) if kind == "int" else (
+        lambda: rng.uniform(-1e3, 1e3) * 10 ** rng.randrange(-8, 9))
+    op, oracle = matmul(dim), textbook_matmul(dim)
+    for _ in range(50):
+        a, b = (tuple(tuple(draw() for _ in range(dim)) for _ in range(dim))
+                for _ in range(2))
+        got, want = op(a, b), oracle(a, b)
+        assert got == want
+        assert [type(x) for row in got for x in row] == [type(x) for row in want for x in row]

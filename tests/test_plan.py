@@ -1,19 +1,28 @@
 """A ScanKernel called on a ListStore replays a cached plan of its update
-stream; every other store gets the kernel's own get/put stream."""
+stream; every other store gets the kernel's own get/put stream. The replay
+runs a segment as C-level passes where that makes the same operator calls
+as the per-update loop."""
 
 import random
+from collections import Counter
 from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scanforge import kernels
 from scanforge.kernels import (
     BRENT_KUNG,
+    BRENT_KUNG_8,
     SERIAL,
     ContractError,
     ScanKernel,
     _plan,
+    _record,
+    _replay,
+    _segment_path,
     chunk_schedule,
     get_kernel,
     iceil_log2,
@@ -23,7 +32,9 @@ from scanforge.ops import builtin_ops
 from scanforge.stores import ListStore
 from scanforge.tracing import run_traced
 
+import mutants
 from mutants import transposed_operands
+from test_executors import oblivious, updates
 
 OPS = builtin_ops()
 
@@ -168,3 +179,155 @@ def test_scan_then_fan_kernel_is_memoised():
 
 def test_chunk_schedule_is_the_brent_kung_trace():
     assert chunk_schedule(8) == [(t.reads[0], t.write) for t in run_traced(BRENT_KUNG, 8)]
+
+
+def replay_oracle(plan, data, op):
+    """The plan's updates, one at a time, straight from the segment definition."""
+    for a, b, w, da, db, dw, count in plan:
+        for k in range(count):
+            data[w + k * dw] = op(data[a + k * da], data[b + k * db])
+
+
+class LoggingAdd:
+    """Float addition that logs each call's operands by identity: an input
+    by its position, a result by the ordinal of the call that made it."""
+
+    def __init__(self, inputs):
+        self.names = {id(x): ("in", i) for i, x in enumerate(inputs)}
+        self.alive = list(inputs)  # no id is reused while the log is compared
+        self.log = []
+
+    def __call__(self, x, y):
+        self.log.append((self.names[id(x)], self.names[id(y)]))
+        result = x + y
+        assert id(result) not in self.names
+        self.names[id(result)] = ("call", len(self.log))
+        self.alive.append(result)
+        return result
+
+    def name_all(self, values):
+        return [self.names[id(v)] for v in values]
+
+
+def check_replay_against_oracle(plan, n, seed):
+    rng = random.Random(seed)
+    inputs = [rng.uniform(-1, 1) * 10 ** rng.randrange(-8, 9) for _ in range(n)]
+    runs = []
+    for replay in (_replay, replay_oracle):
+        data, op = list(inputs), LoggingAdd(inputs)
+        replay(plan, data, op)
+        runs.append((data, op.log, op.name_all(data)))
+    (got, got_log, got_names), (want, want_log, want_names) = runs
+    assert got_log == want_log  # the same operands, in the same order
+    assert got_names == want_names
+    assert got == want  # floats compared exactly
+
+
+# Hand-built segments (a, b, w, da, db, dw, count) over n = 40 cells, one per path.
+SEGMENTS = {
+    "unit chain": ((0, 1, 1, 1, 1, 1, 39), "chain"),
+    "step-0 read below (fan-out)": ((4, 5, 5, 0, 1, 1, 20), "alias-free"),
+    "step-0 read above": ((39, 0, 0, 0, 2, 2, 19), "alias-free"),
+    "same step, no alias (brent-kung level)": ((0, 1, 1, 2, 2, 2, 20), "alias-free"),
+    "same step, trailing by a non-multiple": ((0, 3, 3, 2, 2, 2, 18), "alias-free"),
+    "same step, alias": ((4, 30, 5, 1, 0, 1, 20), "loop"),
+    "b trails the writes": ((30, 4, 5, 0, 1, 1, 20), "loop"),
+    "reads above the writes": ((20, 30, 0, 1, 1, 1, 10), "alias-free"),
+    "reads of later writes": ((1, 2, 0, 1, 1, 1, 38), "alias-free"),
+    "negative steps": ((30, 31, 31, -1, -1, -1, 5), "loop"),
+    "one update": ((0, 1, 1, 0, 0, 0, 1), "loop"),
+}
+
+
+@pytest.mark.parametrize("pass_size", [3, kernels._PASS])
+@pytest.mark.parametrize("label", list(SEGMENTS))
+def test_replay_runs_each_hand_built_segment_like_the_loop(label, pass_size):
+    segment, path = SEGMENTS[label]
+    assert _segment_path(*segment) == path
+    with mock.patch.object(kernels, "_PASS", pass_size):
+        check_replay_against_oracle((segment,), 40, seed=len(label))
+
+
+@st.composite
+def segments(draw, n):
+    """Any segment whose cells all lie in range(n)."""
+    count = draw(st.integers(1, n))
+    starts = []
+    for _ in range(3):
+        step = draw(st.integers(-4, 4))
+        lo = max(0, -step * (count - 1))
+        hi = min(n - 1, n - 1 - step * (count - 1))
+        if lo > hi:
+            step, lo, hi = 0, 0, n - 1
+        starts.append((draw(st.integers(lo, hi)), step))
+    (a, da), (b, db), (w, dw) = starts
+    return a, b, w, da, db, dw, count
+
+
+@given(st.lists(segments(24), max_size=4), st.sampled_from([2, 3, kernels._PASS]),
+       st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_replay_runs_random_segments_like_the_loop(plan, pass_size, seed):
+    with mock.patch.object(kernels, "_PASS", pass_size):
+        check_replay_against_oracle(tuple(plan), 24, seed)
+
+
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), updates(n))),
+       st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_replay_runs_random_oblivious_kernels_like_the_loop(n_updates, seed):
+    n, kernel_updates = n_updates
+    with mock.patch.object(kernels, "_PASS", 3):
+        check_replay_against_oracle(_record(oblivious(kernel_updates), n), n, seed)
+
+
+@pytest.mark.parametrize("name", sorted(mutants.ALL))
+@pytest.mark.parametrize("n", [1, 2, 9, 64, 100])
+def test_replay_runs_mutant_kernels_like_the_loop(name, n):
+    check_replay_against_oracle(_record(mutants.ALL[name], n), n, seed=n)
+
+
+@pytest.mark.parametrize("name, chunks", [("serial", 1), ("brent-kung", 1),
+                                          ("scan-then-fan", 8), ("scan-then-fan", 64)])
+def test_built_in_kernels_replay_like_the_loop(name, chunks):
+    kernel = get_kernel(name, chunks)
+    check_replay_against_oracle(_plan(kernel, 5000), 5000, seed=chunks)
+
+
+@pytest.mark.parametrize("name, chunks, paths", [
+    ("serial", 1, {"chain": 1}),
+    ("brent-kung", 1, {"alias-free": 29, "loop": 1}),
+    ("scan-then-fan", 8, {"chain": 8, "alias-free": 11}),
+    ("scan-then-fan", 64, {"chain": 64, "alias-free": 120}),
+])
+def test_segment_paths_at_65536(name, chunks, paths):
+    plan = _plan(get_kernel(name, chunks), 65536)
+    assert Counter(_segment_path(*segment) for segment in plan) == paths
+    # Only a segment that the rule must leave to the loop stays there: in
+    # brent-kung, the reduce tree's last update and the broadcast tree's first
+    # make one two-update segment with negative steps.
+    loop = [s for s in plan if _segment_path(*s) == "loop"]
+    assert all(count == 1 or min(da, db, dw) < 0 for *_, da, db, dw, count in loop)
+
+
+class Raised(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kernel", [SERIAL, BRENT_KUNG, BRENT_KUNG_8,
+                                    get_kernel("scan-then-fan", 8)], ids=lambda k: k.name)
+@pytest.mark.parametrize("fail_at", [1, 2, 5, 7])
+def test_operator_error_propagates_from_replay(kernel, fail_at):
+    n = kernel.fixed_length or 100
+    error, calls = Raised(), []
+
+    def failing(x, y):
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise error
+        return x + y
+
+    with pytest.raises(Raised) as info:
+        kernel(ListStore(range(n)), failing)
+    assert info.value is error
+    assert len(calls) == fail_at
