@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from typing import Optional, Sequence
 
 from . import kernels, ops, render, runtime, tracing, verify
@@ -13,10 +12,13 @@ from .stores import ListStore
 
 
 def _atomic_write(path: str, text: str) -> None:
+    # Mode "x" creates the temporary file as open(path, "w") would create the
+    # target, 0o666 less the umask; tempfile.mkstemp would make it 0o600.
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".scanforge-")
+    tmp = os.path.join(directory, f".scanforge-{os.urandom(8).hex()}")
+    f = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as f:
+        with f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -111,8 +113,7 @@ def _cmd_run(args) -> int:
 def _cmd_trace(args) -> int:
     kernel = _get_kernel(args.kernel, args.chunks)
     _check_fixed(kernel, args.n)
-    history = tracing.run_traced(kernel, args.n)
-    text = tracing.trace_to_json(history) + "\n"
+    text = tracing._plan_json(kernel, args.n) + "\n"
     if args.out:
         _atomic_write(args.out, text)
     else:
@@ -138,15 +139,13 @@ def _cmd_render(args) -> int:
         for ordinal, k in enumerate(top, start=1):
             if k > n:
                 raise ValueError(f"trace row {ordinal} uses index {k}, outside 1..{n}")
+        svg = render.svg_string(render.layout(history, n), viewport)
     else:
         if args.kernel is None or args.n is None:
             raise UsageError("render requires --trace or both --kernel and --n")
         kernel = _get_kernel(args.kernel, args.chunks)
         _check_fixed(kernel, args.n)
-        history = tracing.run_traced(kernel, args.n)
-        n = args.n
-    diagram = render.layout(history, n)
-    svg = render.svg_string(diagram, viewport)
+        svg = render._plan_svg(kernel, args.n, viewport)
     _atomic_write(args.out, svg)
     return 0
 

@@ -6,15 +6,23 @@ contract: every put consumes exactly the two reads issued since the
 previous put, and the kernel has no value-dependent control flow. The
 history is enough to reconstruct the kernel's data flow, stage structure,
 and operation count.
+
+The same plan is also read without a Transaction per update, as integer
+columns (_columns, _plan_rows): the CLI's trace and render and the race
+check write their output from them. Histories and columns are staged by
+one rule, _depths.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import le
 from typing import Callable, Iterable
 
-from .kernels import ScanKernel, _kernel_plan, _updates
+from .kernels import ScanKernel, _kernel_plan, _progression
 
 
 @dataclass(frozen=True)
@@ -26,38 +34,71 @@ class Transaction:
 TraceHistory = list[Transaction]
 
 
+def _columns(kernel: ScanKernel | Callable, n: int) -> tuple[list[int], list[int], list[int]]:
+    """The plan's updates at length n as 1-based columns: first reads, second
+    reads and writes, each built a segment at a time."""
+    if n < 0:
+        raise ValueError("length must be >= 0")
+    firsts, seconds, writes = [], [], []
+    for a, b, w, da, db, dw, count in _kernel_plan(kernel, n):
+        firsts += _progression(a + 1, da, count)
+        seconds += _progression(b + 1, db, count)
+        writes += _progression(w + 1, dw, count)
+    return firsts, seconds, writes
+
+
+def _depths(lows: Iterable, writes: Iterable[int]) -> list[int]:
+    """The stage rule: the stage depth of each row, from its lowest read and
+    its write.
+
+    A row starts a new stage when its lowest read is at or below the previous
+    row's write; the first row sits at depth 1. A row that reads nothing has
+    the low math.inf, so it never starts a stage after the first.
+    """
+    # Summing from the int 0 makes every depth an int; the first would
+    # otherwise be the bool True.
+    depths = list(accumulate(map(le, lows, chain((math.inf,), writes)), initial=0))
+    del depths[0]
+    return depths
+
+
+def _plan_rows(kernel: ScanKernel | Callable, n: int) -> tuple[list[int], ...]:
+    """The plan's columns (first reads, second reads, writes) and their depths."""
+    firsts, seconds, writes = _columns(kernel, n)
+    return firsts, seconds, writes, _depths(map(min, firsts, seconds), writes)
+
+
+def _history_rows(history: Iterable[Transaction]) -> tuple[list, list[int], list[int]]:
+    """A history's reads, writes and stage depths, as columns."""
+    history = list(history)
+    reads = [t.reads for t in history]
+    writes = [t.write for t in history]
+    return reads, writes, _depths([min(r, default=math.inf) for r in reads], writes)
+
+
 def run_traced(kernel: ScanKernel | Callable, n: int) -> TraceHistory:
     """The transactions of one kernel run at length n, read from its plan.
 
     A kernel that breaks the store contract raises kernels.ContractError.
     """
-    if n < 0:
-        raise ValueError("length must be >= 0")
-    updates = _updates(_kernel_plan(kernel, n))
-    return [Transaction((a + 1, b + 1), w + 1) for a, b, w in updates]
+    firsts, seconds, writes = _columns(kernel, n)
+    return list(map(Transaction, zip(firsts, seconds), writes))
 
 
 def infer_depths(history: Iterable[Transaction]) -> list[tuple[Transaction, int]]:
     """Assign a stage depth to each transaction of a serialized kernel run.
 
     Heuristic from the left-to-right access order: a transaction that reads
-    at or below the highest index written so far starts a new stage. Depths
-    are 1-based; the first transaction sits at depth 1.
+    at or below the index the previous transaction wrote starts a new stage.
+    Depths are 1-based; the first transaction sits at depth 1.
     """
-    olast = 0
-    depth = 0
-    out: list[tuple[Transaction, int]] = []
-    for t in history:
-        if depth == 0 or (t.reads and min(t.reads) <= olast):
-            depth += 1
-        out.append((t, depth))
-        olast = t.write
-    return out
+    history = list(history)
+    return list(zip(history, _history_rows(history)[2]))
 
 
 def max_depth(history: Iterable[Transaction]) -> int:
-    levels = infer_depths(history)
-    return levels[-1][1] if levels else 0
+    depths = _history_rows(history)[2]
+    return depths[-1] if depths else 0
 
 
 def dag_depths(history: Iterable[Transaction]) -> list[tuple[Transaction, int]]:
@@ -81,20 +122,33 @@ def dag_depths(history: Iterable[Transaction]) -> list[tuple[Transaction, int]]:
     return out
 
 
-def trace_to_json(history: TraceHistory) -> str:
-    """Stable JSON form: [{"reads": [...], "write": i, "depth": d}, ...].
+def _json_rows(reads: Iterable[str], writes: Iterable[int], depths: Iterable[int]) -> str:
+    """The trace JSON of rows whose reads are already written as JSON.
 
-    The text is json.dumps(rows, indent=2) for integer indices, written
-    here a row at a time: with indent set, json encodes in pure Python,
+    The text is json.dumps(rows, indent=2) for integer indices, written here
+    with one f-string per row: with indent set, json encodes in pure Python,
     one call per token.
     """
-    rows = []
-    for t, d in infer_depths(history):
-        reads = ("[\n      " + ",\n      ".join(map(str, t.reads)) + "\n    ]"
-                 if t.reads else "[]")
-        rows.append(f'  {{\n    "reads": {reads},\n    "write": {t.write},\n'
-                    f'    "depth": {d}\n  }}')
-    return "[\n" + ",\n".join(rows) + "\n]" if rows else "[]"
+    rows = ",\n".join([f'  {{\n    "reads": {r},\n    "write": {w},\n    "depth": {d}\n  }}'
+                       for r, w, d in zip(reads, writes, depths)])
+    return "[\n" + rows + "\n]" if rows else "[]"
+
+
+def _reads_json(reads: tuple[int, ...]) -> str:
+    return "[\n      " + ",\n      ".join(map(str, reads)) + "\n    ]" if reads else "[]"
+
+
+def trace_to_json(history: TraceHistory) -> str:
+    """Stable JSON form: [{"reads": [...], "write": i, "depth": d}, ...]."""
+    reads, writes, depths = _history_rows(history)
+    return _json_rows(map(_reads_json, reads), writes, depths)
+
+
+def _plan_json(kernel: ScanKernel | Callable, n: int) -> str:
+    """trace_to_json(run_traced(kernel, n)), read from the plan's columns."""
+    firsts, seconds, writes, depths = _plan_rows(kernel, n)
+    pairs = [f"[\n      {a},\n      {b}\n    ]" for a, b in zip(firsts, seconds)]
+    return _json_rows(pairs, writes, depths)
 
 
 def trace_from_json(text: str) -> TraceHistory:

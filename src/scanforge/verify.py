@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .kernels import ScanKernel, _kernel_plan, _replay
 from .ops import IDENTITY, TOP, Interval, Range, interval_plus
-from .tracing import Transaction, infer_depths, run_traced
+from .tracing import Transaction, _history_rows, _plan_rows
 
 
 def seed_intervals(n: int) -> list:
@@ -89,28 +89,35 @@ def verify_serial(kernel: ScanKernel | Callable, n: int) -> VerificationReport:
     return VerificationReport(name, n, ok, output, expected, state["first_top"])
 
 
-def race_check_history(history: list[Transaction]) -> RaceReport:
-    """Within each inferred stage, no index may be touched twice.
+def _race_check(reads: Iterable[tuple[int, ...]], writes: Iterable[int],
+                depths: Iterable[int]) -> RaceReport:
+    """Within each stage, no index may be touched by two rows.
 
-    Reports the 1-based ordinals of the first conflicting transaction pair.
+    Reports the 1-based ordinals of the first conflicting pair of rows.
     """
     seen: dict[int, int] = {}
     level = None
-    for ordinal, (t, depth) in enumerate(infer_depths(history), start=1):
+    for ordinal, (r, w, depth) in enumerate(zip(reads, writes, depths), start=1):
         if depth != level:
             seen = {}
             level = depth
-        for idx in set(t.reads) | {t.write}:
+        for idx in set(r) | {w}:
             if idx in seen:
                 return RaceReport(False, (seen[idx], ordinal))
             seen[idx] = ordinal
     return RaceReport(True)
 
 
+def race_check_history(history: list[Transaction]) -> RaceReport:
+    """The race check of a recorded history, staged by the stage rule."""
+    return _race_check(*_history_rows(history))
+
+
 def verify_race_free(kernel: ScanKernel | Callable, n: int) -> RaceReport:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return race_check_history(run_traced(kernel, n))
+    firsts, seconds, writes, depths = _plan_rows(kernel, n)
+    return _race_check(zip(firsts, seconds), writes, depths)
 
 
 def verify_parallel(kernel: ScanKernel | Callable, n: int) -> ParallelReport:

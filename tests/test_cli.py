@@ -1,13 +1,28 @@
+import contextlib
 import csv
+import io
 import json
+import os
 import re
+import stat
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mutants
 from scanforge.cli import UsageError, _parse_p_range, main, parse_elements
+from scanforge.kernels import KERNEL_NAMES, get_kernel
+from scanforge.render import layout, svg_string
 from scanforge.runtime import MAX_WORKERS
-from scanforge.verify import IDENTITY, Range
+from scanforge.tracing import run_traced, trace_to_json
+from scanforge.verify import IDENTITY, Range, race_check_history, verify_race_free
+from test_executors import oblivious, updates
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 def test_run_add(capsys):
@@ -221,3 +236,75 @@ def test_render_rejects_deeply_nested_trace(tmp_path, capsys):
     assert main(["render", "--trace", str(trace), "--out", str(tmp_path / "t.svg")]) == 2
     assert "nests" in capsys.readouterr().err
     assert not (tmp_path / "t.svg").exists()
+
+
+def test_output_files_get_the_mode_open_would_give(tmp_path):
+    # The temporary file used to come from mkstemp, so every output was 0o600,
+    # and overwriting a 0o644 file made it 0o600.
+    old = os.umask(0o022)
+    try:
+        fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+        kept.write_text("old")
+        kept.chmod(0o644)
+        for out in (fresh, kept):
+            assert main(["trace", "--kernel", "serial", "--n", "4", "--out", str(out)]) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == 0o644
+    finally:
+        os.umask(old)
+
+
+@pytest.mark.parametrize("kernel, golden", [("serial", "serial_8.json"),
+                                            ("brent-kung", "brent_kung_8.json")])
+def test_trace_goldens(tmp_path, capsys, kernel, golden):
+    want = (GOLDENS / golden).read_bytes()
+    out = tmp_path / golden
+    assert main(["trace", "--kernel", kernel, "--n", "8", "--out", str(out)]) == 0
+    assert out.read_bytes() == want
+    assert main(["trace", "--kernel", kernel, "--n", "8"]) == 0
+    assert capsys.readouterr().out.encode() == want
+
+
+def any_updates(n):
+    """(j, i) updates with j and i anywhere among the first few cells, so that
+    two updates of one stage often touch the same cell."""
+    if n < 1:
+        return st.just([])
+    cell = st.integers(1, min(n, 6))
+    return st.lists(st.tuples(cell, cell), max_size=12)
+
+
+def cli_text(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@given(st.sampled_from(("random", "any") + KERNEL_NAMES + tuple(mutants.ALL)),
+       st.integers(min_value=0, max_value=300),
+       st.integers(min_value=1, max_value=12),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_plan_path_equals_the_history_path(name, n, chunks, data):
+    if name in ("random", "any"):
+        strategy = updates(n) if name == "random" else any_updates(n)
+        kernel = oblivious(data.draw(strategy, label="updates"))
+    elif name in mutants.ALL:
+        kernel = mutants.ALL[name]
+    else:
+        kernel = get_kernel(name, chunks)
+        n = kernel.fixed_length or n
+    history = run_traced(kernel, n)
+    if n >= 1:
+        assert verify_race_free(kernel, n) == race_check_history(history)
+    if name not in KERNEL_NAMES:
+        return
+    argv = ["--kernel", name, "--n", str(n), "--chunks", str(chunks)]
+    assert cli_text(["trace"] + argv) == trace_to_json(history) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        svg = os.path.join(tmp, "k.svg")
+        for viewport in ((600, 400), (317, 1999)):
+            spec = "%dx%d" % viewport
+            assert main(["render"] + argv + ["--viewport", spec, "--out", svg]) == 0
+            with open(svg) as f:
+                assert f.read() == svg_string(layout(history, n), viewport)

@@ -17,6 +17,7 @@ from scanforge.kernels import (
     get_kernel,
     scan_then_fan_kernel,
 )
+from scanforge.render import layout
 from scanforge.stores import ListStore
 from scanforge.tracing import (
     Transaction,
@@ -27,6 +28,7 @@ from scanforge.tracing import (
     trace_from_json,
     trace_to_json,
 )
+from scanforge.verify import race_check_history
 from trace_oracle import UNIT, TraceStore, placeholder_op, replay
 
 
@@ -192,6 +194,43 @@ def reference_depths(history):
             depth += 1
         yield t, depth
         olast = t.write
+
+
+# Indices from a few cells, so that rows of one stage often share a cell.
+crowded_histories = st.lists(st.builds(Transaction,
+                                       st.lists(st.integers(1, 8), max_size=4).map(tuple),
+                                       st.integers(1, 8)),
+                             max_size=40)
+
+
+def reference_conflict(staged):
+    """The race check written from reference_depths' stages: the ordinal of
+    the first row that shares a cell with an earlier row of its stage, and the
+    ordinals of those earlier rows; None when no such row exists."""
+    cells = [set(t.reads) | {t.write} for t, _ in staged]
+    for j, (_, d) in enumerate(staged):
+        earlier = {i + 1 for i in range(j) if staged[i][1] == d and cells[i] & cells[j]}
+        if earlier:
+            return j + 1, earlier
+    return None
+
+
+@given(st.one_of(histories, crowded_histories))
+@settings(max_examples=300, deadline=None)
+def test_history_views_follow_the_stage_rule(history):
+    staged = list(reference_depths(history))
+    depths = [d for _, d in staged]
+    assert infer_depths(history) == staged
+    assert max_depth(history) == max(depths, default=0)
+    width = max((max(t.reads + (t.write,)) for t in history), default=0)
+    diagram = layout(history, width)
+    assert [g.depth for g in diagram.gates] == depths
+    assert diagram.max_depth == max(depths, default=0)
+    report, conflict = race_check_history(history), reference_conflict(staged)
+    assert report.ok == (conflict is None)
+    if conflict is not None:
+        assert report.conflicting[1] == conflict[0]
+        assert report.conflicting[0] in conflict[1]
 
 
 @given(histories)
