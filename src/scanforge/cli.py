@@ -112,7 +112,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_trace(args) -> int:
     kernel = _get_kernel(args.kernel, args.chunks)
-    _check_fixed(kernel, args.n)
+    _check_size(kernel, args.n)
     text = tracing._plan_json(kernel, args.n) + "\n"
     if args.out:
         _atomic_write(args.out, text)
@@ -144,20 +144,22 @@ def _cmd_render(args) -> int:
         if args.kernel is None or args.n is None:
             raise UsageError("render requires --trace or both --kernel and --n")
         kernel = _get_kernel(args.kernel, args.chunks)
-        _check_fixed(kernel, args.n)
+        _check_size(kernel, args.n)
         svg = render._plan_svg(kernel, args.n, viewport)
     _atomic_write(args.out, svg)
     return 0
 
 
-def _check_fixed(kernel: kernels.ScanKernel, n: int) -> None:
+def _check_size(kernel: kernels.ScanKernel, n: int) -> None:
     if kernel.fixed_length is not None and n != kernel.fixed_length:
         raise UsageError(f"kernel {kernel.name} requires n == {kernel.fixed_length}")
+    if n > runtime.MAX_N:  # before the plan is recorded
+        raise UsageError(f"--n {n}: n must be <= MAX_N ({runtime.MAX_N})")
 
 
 def _cmd_verify(args) -> int:
     kernel = _get_kernel(args.kernel, args.chunks)
-    _check_fixed(kernel, args.n)
+    _check_size(kernel, args.n)
     report = verify.verify_parallel(kernel, args.n)
     print(report.to_json())
     return 0 if report.ok else 1
@@ -250,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--p-range", default="4:32",
                      help='"4,8,16" list or "4:32" doubling range')
     ben.add_argument("--op-cost", type=float, default=0.01,
-                     help="seconds per op (ticks in virtual-clock mode)")
+                     help="seconds per op (in virtual-clock mode, whole ticks per "
+                     "op; a cost below 1 counts as 1 tick)")
     ben.add_argument("--trials", type=int, default=3)
     ben.add_argument("--out", help="CSV path (stdout when omitted)")
     ben.add_argument("--virtual-clock", action="store_true")

@@ -205,6 +205,14 @@ def _record(fn: Callable, n: int) -> Plan:
     return recorder.plan()
 
 
+def _segments(updates: Iterable[tuple[int, int, int]], n: int) -> Plan:
+    """The plan of a stream of 0-based (a, b, w) updates over n cells."""
+    def fn(store, op):
+        for a, b, w in updates:
+            store.put(w + 1, op(store.get(a + 1), store.get(b + 1)))
+    return _record(fn, n)
+
+
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(kernel: "ScanKernel", n: int) -> Plan:
     """The kernel's update stream at length n, recorded once per (kernel, n)."""
@@ -259,6 +267,32 @@ def _cells(data: list, start: int, step: int, count: int) -> Iterable:
     return data[start:start + step * count:step] if step else repeat(data[start], count)
 
 
+def _passes(plan: Plan) -> Iterator[tuple]:
+    """The plan as (path, a, b, w, da, db, dw, count) passes: a loop segment
+    whole, any other cut into segments of the same kind of up to _PASS updates
+    (a chain's pass refolds from the cell that the previous pass wrote last)."""
+    for a, b, w, da, db, dw, count in plan:
+        path = _segment_path(a, b, w, da, db, dw, count)
+        size = count if path == "loop" else _PASS
+        for k in range(0, count, size):
+            yield path, a + k * da, b + k * db, w + k * dw, da, db, dw, min(size, count - k)
+
+
+def _run_pass(data: list, f: Callable, out: list, path: str, a: int, b: int, w: int,
+              da: int, db: int, dw: int, count: int) -> None:
+    """A chain or alias-free pass as _replay runs it, its results collected
+    in out. If the operator raises, out holds the results before it (after a
+    chain's first cell), and those are written: the run can go on from there."""
+    start = a if path == "chain" else w  # the cell of out[0]
+    try:
+        if path == "chain":
+            out.extend(accumulate(data[a:w + count], f))
+        else:
+            out.extend(map(f, _cells(data, a, da, count), _cells(data, b, db, count)))
+    finally:
+        data[start:start + dw * len(out):dw] = out
+
+
 def _replay(plan: Plan, data: list, op: Callable) -> None:
     """Run the plan on data, making the operator calls of the per-update loop
     in the same order. A chain or alias-free segment runs as C-level passes
@@ -266,22 +300,15 @@ def _replay(plan: Plan, data: list, op: Callable) -> None:
     until the operator has made all of its calls."""
     # AssocOp.__call__ only forwards to fn; skipping it saves a frame per update.
     f = op.fn if type(op) is AssocOp else op
-    for a, b, w, da, db, dw, count in plan:
-        path = _segment_path(a, b, w, da, db, dw, count)
+    for path, a, b, w, da, db, dw, count in _passes(plan):
         if path == "loop":
             for j, k, i in zip(_progression(a, da, count), _progression(b, db, count),
                                _progression(w, dw, count)):
                 data[i] = f(data[j], data[k])
-            continue
-        # Each pass is a segment of the same kind; a chain's pass refolds from
-        # the cell that the previous pass wrote last.
-        for k in range(0, count, _PASS):
-            m = min(_PASS, count - k)
-            a1, b1, w1 = a + k * da, b + k * db, w + k * dw
-            if path == "chain":
-                data[a1:w1 + m] = accumulate(data[a1:w1 + m], f)
-            else:
-                data[w1:w1 + dw * m:dw] = map(f, _cells(data, a1, da, m), _cells(data, b1, db, m))
+        elif path == "chain":
+            data[a:w + count] = accumulate(data[a:w + count], f)
+        else:
+            data[w:w + dw * count:dw] = map(f, _cells(data, a, da, count), _cells(data, b, db, count))
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,18 +2,19 @@
 
 A scan kernel is oblivious, so its checked plan fixes the whole task graph
 before any value exists. `run_parallel` takes the plan's cached schedule
-(the same one the virtual clock reads) and interprets it on worker threads:
-each update is one task on the owner of its right operand, and every value
-has one slot in a flat list indexed by the schedule's ids (seeds 1..n, task
-k writes id n + k), so each slot is written once. Each worker runs its own
-task list in plan order. A task waits on the locks of its dependencies on
-other workers, each released once that task has run; those on its own
-worker hold by list order. The scheduler is stage-synchronous at the
-granularity of per-cell access order — a task runs only after every earlier
-task that touched any of its cells — which makes the makespan equal the
-critical path of the task graph and the measured speedup follow the
-(p-1) / tree-depth model. A kernel that breaks the store contract raises
-`ContractError` before any thread starts.
+(the same one the virtual clock reads) and interprets it on worker threads.
+Each worker owns one contiguous block of the cells, and each update is one
+task on the owner of its right operand. The schedule orders every access to
+a cell in plan order, so the values stay in place in the n cells. Each
+worker runs its own tasks in plan order, in steps: a step waits on the locks
+of the tasks it needs from other workers, runs its updates as the C-level
+passes of the plan's replay, and releases its lock if another worker waits
+for it; tasks on one worker hold by order. The scheduler is
+stage-synchronous at the granularity of per-cell access order — a task runs
+only after every earlier task that touched any of its cells — which makes
+the makespan equal the critical path of the task graph and the measured
+speedup follow the (p-1) / tree-depth model. A kernel that breaks the store
+contract raises `ContractError` before any thread starts.
 
 Workers are in-process threads, not OS processes; the wait on a
 dependency, not the transport, is what matters here. At most MAX_WORKERS
@@ -33,12 +34,16 @@ from fractions import Fraction
 from queue import SimpleQueue
 from typing import Any, Callable, Iterable, Sequence
 
-from .kernels import _PLAN_CACHE_SIZE, Plan, ScanKernel, _kernel_plan, _replay, _updates
+from .kernels import (_PLAN_CACHE_SIZE, Plan, ScanKernel, _kernel_plan, _passes, _replay,
+                      _run_pass, _segments, _updates)
+from .ops import AssocOp
 
 WORKERS_ENV = "SCANFORGE_WORKERS"
 
 # Most worker threads one Cluster starts; bench's default --p-range tops out at 32.
 MAX_WORKERS = 256
+# Largest n that bench and the CLI's trace, render --kernel and verify take.
+MAX_N = 1 << 18
 
 _STOP = object()
 
@@ -110,8 +115,8 @@ def run_parallel_detailed(
     _check_workers(workers)
     n = len(values)
     plan = _kernel_plan(kernel, n)
-    graph = _schedule(plan, n, workers)
-    results, error = _run_schedule(plan, graph.nodes, values, op, workers)
+    graph, programs, locks = _schedule(plan, n, workers)
+    results, error = _run_schedule(programs, locks, values, op)
     if error is not None:
         try:
             raise error
@@ -120,49 +125,58 @@ def run_parallel_detailed(
     return results, graph
 
 
-def _run_schedule(plan: Plan, nodes: Sequence[TaskNode], values: Sequence[Any],
-                  op: Callable, workers: int) -> tuple[list | None, BaseException | None]:
-    """The final value of every cell, or the error that poisoned the first
-    failed cell. An operator's error is returned, not raised, so that no
-    traceback holds this frame's values."""
-    n = len(values)
-    slots = list(values) + [None] * len(nodes)  # by schedule id - 1
-    errors: dict[int, BaseException] = {}  # slot -> the error that failed it
-    done = []  # by task ordinal - 1: a lock held until that task has run
-    jobs: list[list] = [[] for _ in range(workers)]
-    cells = list(range(n))  # slot of each cell's final value
-    for (_, _, w), node in zip(_updates(plan), nodes):
-        lock = threading.Lock()
+def _run_schedule(programs: tuple, locks: int, values: Sequence[Any],
+                  op: Callable) -> tuple[list | None, BaseException | None]:
+    """The final value of every cell, or the error of the lowest cell whose
+    final value is poisoned. An operator's error is returned, not raised, so
+    that no traceback holds this frame's values."""
+    data = list(values)
+    errors: dict[int, BaseException] = {}  # poisoned cell -> its error
+    done = [threading.Lock() for _ in range(locks)]  # held until its task has run
+    for lock in done:
         lock.acquire()
-        done.append(lock)
-        waits = [done[d - 1] for d in node.deps if nodes[d - 1].owner != node.owner]
-        jobs[node.owner - 1].append((node.left_id - 1, node.right_id - 1,
-                                     node.out_id - 1, waits, lock))
-        cells[w] = node.out_id - 1
-    with Cluster(workers) as cluster:  # shutdown() returns once every task ran
-        for worker, tasks in enumerate(jobs, start=1):
-            cluster.submit(worker, functools.partial(_run_tasks, tasks, slots, errors, op))
-    for s in cells:
-        if s in errors:
-            return None, errors[s]
-    return [slots[s] for s in cells], None
+    f = op.fn if type(op) is AssocOp else op
+    with Cluster(len(programs)) as cluster:  # shutdown() returns once every task ran
+        for worker, steps in enumerate(programs, start=1):
+            cluster.submit(worker, functools.partial(_run_steps, steps, data, errors, done, f))
+    if errors:
+        return None, errors[min(errors)]
+    return data, None
 
 
-def _run_tasks(tasks: list, slots: list, errors: dict, op: Callable) -> None:
-    """One worker's task list, in plan order."""
-    for left, right, out, waits, done in tasks:
+def _run_steps(steps: tuple, data: list, errors: dict, done: list, f: Callable) -> None:
+    """One worker's program on the cells in place. Until a cell is poisoned,
+    a chain or alias-free pass is one _run_pass; a loop pass, and every pass
+    after that, runs the per-update loop, which passes a poisoned input's
+    error on unraised and clears a cell that gets a good value."""
+    for waits, passes, release in steps:
         for lock in waits:
-            lock.acquire()
-            lock.release()
-        if errors and (left in errors or right in errors):
-            # a poisoned input: pass its error on, unraised
-            errors[out] = errors[left] if left in errors else errors[right]
-        else:
-            try:
-                slots[out] = op(slots[left], slots[right])
-            except BaseException as exc:  # poison, do not kill the worker
-                errors[out] = exc
-        done.release()
+            done[lock].acquire()
+            done[lock].release()
+        for path, a, b, w, da, db, dw, count in passes:
+            ran = 0  # updates of the pass already done
+            if path != "loop" and not errors:
+                out: list = []
+                try:
+                    _run_pass(data, f, out, path, a, b, w, da, db, dw, count)
+                    continue
+                except BaseException as exc:  # poison, do not kill the worker
+                    ran = len(out) - (path == "chain")
+                    errors[w + dw * ran] = exc
+                    ran += 1
+            rest = (a + da * ran, b + db * ran, w + dw * ran, da, db, dw, count - ran)
+            for j, k, i in _updates((rest,)):
+                if errors and (j in errors or k in errors):
+                    errors[i] = errors[j] if j in errors else errors[k]
+                    continue
+                try:
+                    data[i] = f(data[j], data[k])
+                except BaseException as exc:
+                    errors[i] = exc
+                else:
+                    errors.pop(i, None)
+        if release is not None:
+            done[release].release()
     errors = None  # a failed call's traceback holds this frame: no cycle through it
 
 
@@ -241,32 +255,61 @@ class VirtualRun:
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _schedule(plan: Plan, n: int, workers: int) -> TaskGraph:
-    """The plan's task graph on FIFO workers.
-
-    Seeds are values 1..n, element i owned by worker (i-1) % workers + 1.
-    Update k is task k; its output is value n + k, owned by the owner of its
-    right read. Task k depends on the last task to touch each of its cells,
-    on its worker's previous task and on the producer of the value it
-    overwrites. Cached on the plan's value, so equal plans share one
+def _schedule(plan: Plan, n: int, workers: int) -> tuple[TaskGraph, tuple | None, int]:
+    """The plan's task graph on FIFO workers, each worker's program and its
+    number of locks. Cached on the plan's value, so equal plans share one
     immutable schedule.
+
+    Seeds are values 1..n. Each worker owns one block of them: element i is
+    owned by worker (i-1) // ceil(n/workers) + 1. Update k is task k; its
+    output is value n + k, owned by the owner of its right read. Task k depends on the
+    last task to touch each of its cells, on its worker's previous task and
+    on the producer of the value it overwrites. A worker's program is its
+    tasks as steps (waits, passes, release): a step starts at a task that
+    depends on another worker's and ends after a task that another worker's
+    depends on; waits and release are lock indices. Above MAX_WORKERS, where
+    no thread may run, there are no programs.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    size = -(-n // workers)
     fid = list(range(1, n + 1))  # id of each cell's current value
-    owner = [i % workers + 1 for i in range(n)]
+    owner = [i // size + 1 for i in range(n)]
     producer = [0] * n  # task that wrote each cell's value; 0 for a seed
     toucher = [0] * n  # last task to touch each cell
     last_on: dict[int, int] = {}  # last task of each worker
-    nodes = []
+    nodes: list[TaskNode] = []
+    threaded = workers <= MAX_WORKERS
+    task_owner = [0]  # worker of each task
+    waits: dict[int, tuple[int, ...]] = {}  # task -> the locks it waits on
+    lock: dict[int, int] = {}  # lock index of each task that another worker needs
     for k, (a, b, w) in enumerate(_updates(plan), start=1):
         o = owner[b]
         deps = {toucher[a], toucher[b], toucher[w], last_on.get(o, 0), producer[w]}
         deps.discard(0)
-        nodes.append(TaskNode(k, fid[a], fid[b], n + k, o, tuple(sorted(deps))))
+        deps = tuple(sorted(deps))
+        nodes.append(TaskNode(k, fid[a], fid[b], n + k, o, deps))
         toucher[a] = toucher[b] = toucher[w] = last_on[o] = producer[w] = k
         fid[w], owner[w] = n + k, o
-    return TaskGraph(nodes)
+        if threaded:
+            needs = [lock.setdefault(d, len(lock)) for d in deps if task_owner[d] != o]
+            if needs:
+                waits[k] = tuple(needs)
+            task_owner.append(o)
+    graph = TaskGraph(nodes)
+    if not threaded:
+        return graph, None, 0
+    steps: list[list] = [[] for _ in range(workers + 1)]  # [waits, updates, release]
+    for k, update in enumerate(_updates(plan), start=1):
+        mine = steps[task_owner[k]]
+        if k in waits or not mine or mine[-1][2] is not None:
+            mine.append([waits.get(k, ()), [], None])
+        mine[-1][1].append(update)
+        if k in lock:
+            mine[-1][2] = lock[k]
+    programs = tuple(tuple((ws, tuple(_passes(_segments(ups, n))), release)
+                           for ws, ups, release in mine) for mine in steps[1:])
+    return graph, programs, len(lock)
 
 
 def run_virtual(
@@ -285,7 +328,7 @@ def run_virtual(
     """
     n = len(values)
     plan = _kernel_plan(kernel, n)
-    graph = _schedule(plan, n, workers)
+    graph = _schedule(plan, n, workers)[0]
     data = list(values)
     _replay(plan, data, op)
     return VirtualRun(data, graph.depth * op_cost, graph)
@@ -293,7 +336,7 @@ def run_virtual(
 
 def build_task_graph(kernel: ScanKernel | Callable, n: int, workers: int = 0) -> TaskGraph:
     """Task graph of one kernel run at size n (workers defaults to n)."""
-    return _schedule(_kernel_plan(kernel, n), n, workers or max(n, 1))
+    return _schedule(_kernel_plan(kernel, n), n, workers or max(n, 1))[0]
 
 
 # --- Benchmark harness -----------------------------------------------------
@@ -333,7 +376,8 @@ def bench(
 
     Wall-clock mode injects op_cost seconds of delay into each operator
     application so compute dominates scheduling overhead; virtual mode
-    counts exact ticks with op_cost interpreted as ticks per operation.
+    counts exact ticks with op_cost as whole ticks per operation, at least
+    1 (so the default 0.01 counts 1); a negative cost or a p > MAX_N is refused.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -343,9 +387,13 @@ def bench(
     longest = threading.TIMEOUT_MAX - time.monotonic()
     if not virtual and not 0 <= op_cost <= longest:
         raise ValueError(f"op_cost must be between 0 and {longest:.0f} seconds, got {op_cost}")
+    if virtual and op_cost < 0:
+        raise ValueError(f"op_cost must be >= 0 ticks, got {op_cost}")
     ps = list(ps)
-    if not virtual:  # refuse an over-cap row before any row starts threads
-        for p in ps:
+    for p in ps:  # refuse an over-cap row before any row records or starts threads
+        if p > MAX_N:
+            raise ValueError(f"p must be <= MAX_N ({MAX_N}), got {p}")
+        if not virtual:
             _check_workers(worker_count(p))
     rows = []
     for p in ps:
@@ -353,8 +401,8 @@ def bench(
         if virtual:
             cost = max(1, int(op_cost))
             # ticks are exact: one schedule per kernel, whatever trials is
-            t_s = _schedule(_kernel_plan(serial_kernel, p), p, workers).depth * cost
-            t_p = _schedule(_kernel_plan(parallel_kernel, p), p, workers).depth * cost
+            t_s = _schedule(_kernel_plan(serial_kernel, p), p, workers)[0].depth * cost
+            t_p = _schedule(_kernel_plan(parallel_kernel, p), p, workers)[0].depth * cost
         else:
             values = list(range(1, p + 1))
             op = _delayed_add(op_cost)

@@ -17,7 +17,8 @@ import mutants
 from scanforge.cli import UsageError, _parse_p_range, main, parse_elements
 from scanforge.kernels import KERNEL_NAMES, get_kernel
 from scanforge.render import layout, svg_string
-from scanforge.runtime import MAX_WORKERS
+from scanforge import kernels
+from scanforge.runtime import MAX_N, MAX_WORKERS
 from scanforge.tracing import run_traced, trace_to_json
 from scanforge.verify import IDENTITY, Range, race_check_history, verify_race_free
 from test_executors import oblivious, updates
@@ -175,6 +176,38 @@ def test_bench_refuses_bad_op_cost(capsys, flags):
     assert main(["bench", "--p-range", "4", "--trials", "1"] + flags.split()) == 2
     assert "op_cost" in capsys.readouterr().err
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--kernel", "serial", "--n", str(MAX_N + 1)],
+    ["render", "--kernel", "brent-kung", "--n", str(MAX_N + 1), "--out", "{out}"],
+    ["verify", "--kernel", "scan-then-fan", "--n", str(MAX_N + 1)],
+    ["bench", "--virtual-clock", "--p-range", str(MAX_N + 1)],
+    ["bench", "--p-range", f"4:{2 * MAX_N}", "--virtual-clock"],
+    ["bench", "--p-range", str(MAX_N + 1)],
+], ids=["trace", "render", "verify", "bench-virtual", "bench-virtual-range", "bench-wall"])
+def test_size_over_the_cap_is_usage_error(monkeypatch, capsys, tmp_path, argv):
+    # `bench --virtual-clock --p-range 99999999999` used to record ~1e11 updates.
+    def no_recording(*args):
+        raise AssertionError("a plan was recorded")
+
+    monkeypatch.setattr(kernels, "_record", no_recording)
+    kernels._plan.cache_clear()
+    before = threading.active_count()
+    out = tmp_path / "over.svg"
+    assert main([a.format(out=out) for a in argv]) == 2
+    assert f"MAX_N ({MAX_N})" in capsys.readouterr().err
+    assert threading.active_count() == before
+    assert not out.exists()
+
+
+def test_virtual_bench_refuses_a_negative_op_cost(capsys):
+    # -1 used to count silently as 1 tick per operation.
+    assert main(["bench", "--p-range", "4", "--virtual-clock", "--op-cost", "-1"]) == 2
+    assert "op_cost must be >= 0 ticks" in capsys.readouterr().err
+    assert main(["bench", "--p-range", "4,8", "--virtual-clock"]) == 0  # default 0.01
+    assert capsys.readouterr().out.splitlines()[1:] == ["4,3,3,1.000000,1.000000",
+                                                         "8,7,5,1.400000,1.400000"]
 
 
 def test_no_leftover_temp_files(tmp_path):

@@ -7,12 +7,14 @@ import sys
 import threading
 import time
 import traceback
+import types
 from fractions import Fraction
 from itertools import accumulate
 
 import pytest
 
 import mutants
+from scanforge import runtime
 from scanforge.kernels import (
     BRENT_KUNG,
     SERIAL,
@@ -22,6 +24,7 @@ from scanforge.kernels import (
 )
 from scanforge.runtime import (
     CSV_HEADER,
+    MAX_N,
     MAX_WORKERS,
     Cluster,
     CycleError,
@@ -98,6 +101,54 @@ def test_run_parallel_under_frequent_thread_switches():
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("n, workers", [(3, 4), (5, 4), (1023, 2)])
+def test_cells_in_place_under_frequent_thread_switches(n, workers):
+    # Uneven blocks: at (3, 4) and (5, 4) worker 4 owns no cell. A step that
+    # ran before the task it waits for had written its cell would show here.
+    vals = [chr(0x100 + i) for i in range(n)]
+    want = list(accumulate(vals))
+    runs = []
+
+    def run():
+        for kernel in (SERIAL, BRENT_KUNG, scan_then_fan_kernel(5), scan_then_fan_kernel(8)):
+            runs.append(run_parallel_detailed(kernel, vals, add, workers))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive(), "run_parallel hung"
+    assert len(runs) == 4
+    for results, graph in runs:
+        assert results == want
+        if n < workers + 2:
+            assert max(node.owner for node in graph.nodes) < workers
+
+
+def test_a_run_makes_one_lock_per_task_another_worker_waits_for(monkeypatch):
+    made = []
+
+    def lock():
+        made.append(threading.Lock())
+        return made[-1]
+
+    counting = types.SimpleNamespace(**{**vars(threading), "Lock": lock})
+    monkeypatch.setattr(runtime, "threading", counting)
+    vals = list(range(1024))
+    for kernel in (SERIAL, BRENT_KUNG, scan_then_fan_kernel(4), scan_then_fan_kernel(8)):
+        for workers, locks in ((2, 1), (8, None)):
+            made.clear()
+            results, graph = run_parallel_detailed(kernel, vals, add, workers)
+            assert results == list(accumulate(vals))
+            owner = {node.ordinal: node.owner for node in graph.nodes}
+            waited = {d for node in graph.nodes for d in node.deps if owner[d] != node.owner}
+            assert len(made) == len(waited) == (locks or len(waited))
+
+
 def test_run_parallel_propagates_operator_errors():
     def boom(a, b):
         raise ValueError("poisoned")
@@ -107,7 +158,7 @@ def test_run_parallel_propagates_operator_errors():
 
 
 def test_failed_run_raises_error_of_lowest_failed_cell():
-    # Cell 4's update fails on worker 4 after cell 6's has failed on worker 2;
+    # Cell 4's update fails on worker 2 after cell 6's has failed on worker 3;
     # the error that reaches cell 4 (and, through it, every later cell) wins.
     def op(a, b):
         if (a, b) == (3, 4):
@@ -152,6 +203,22 @@ def test_worker_cap_is_refused_before_any_thread_starts():
     with pytest.raises(ValueError, match="MAX_WORKERS"):
         bench(SERIAL, BRENT_KUNG, [4, MAX_WORKERS + 1], op_cost=0, trials=1)
     assert threading.active_count() == before
+
+
+def test_size_cap_is_refused_before_any_recording(monkeypatch):
+    assert MAX_N >= 4 * 65536  # the largest n the benchmark runs, with room
+    monkeypatch.setattr(runtime, "_kernel_plan", None)  # any recording would fail
+    for virtual in (True, False):
+        with pytest.raises(ValueError, match=f"MAX_N \\({MAX_N}\\), got {MAX_N + 1}"):
+            bench(SERIAL, BRENT_KUNG, [4, MAX_N + 1], op_cost=0, trials=1, virtual=virtual)
+
+
+def test_virtual_op_cost_counts_whole_ticks():
+    ones = bench(SERIAL, BRENT_KUNG, [4, 8], op_cost=1, trials=1, virtual=True)
+    for cost in (0, 0.01, 0.5, 1.9):  # below 1, or fractional: whole ticks, at least 1
+        assert bench(SERIAL, BRENT_KUNG, [4, 8], op_cost=cost, trials=1, virtual=True) == ones
+    with pytest.raises(ValueError, match="op_cost must be >= 0 ticks"):
+        bench(SERIAL, BRENT_KUNG, [4], op_cost=-1, trials=1, virtual=True)
 
 
 def test_bench_refuses_an_op_cost_sleep_cannot_take():
@@ -213,7 +280,7 @@ def test_owner_placement_rule():
     by_out = {node.out_id: node for node in run.graph.nodes}
     for node in run.graph.nodes:
         right_owner = by_out[node.right_id].owner if node.right_id in by_out else (
-            (node.right_id - 1) % 16 + 1
+            (node.right_id - 1) // -(-16 // 16) + 1  # the seed's block owner
         )
         assert node.owner == right_owner
 

@@ -42,8 +42,9 @@ def run_virtual(
         raise ValueError("workers must be >= 1")
     ids = itertools.count(1)
     n = len(values)
+    size = -(-n // workers)  # each worker owns one contiguous block of seeds
     cells = [
-        _VirtualCell(next(ids), v, (i % workers) + 1) for i, v in enumerate(values)
+        _VirtualCell(next(ids), v, i // size + 1) for i, v in enumerate(values)
     ]
     nodes: list[TaskNode] = []
     ready_of: dict[int, int] = {}  # task ordinal -> completion tick
