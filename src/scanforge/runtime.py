@@ -109,8 +109,7 @@ def run_parallel_detailed(
     """Run the kernel's plan on worker threads; also return the task graph.
 
     The graph is the plan's cached schedule, the one `run_virtual` and
-    `build_task_graph` read: in it, seeds are values 1..n and task k
-    writes value n + k.
+    `build_task_graph` read.
     """
     _check_workers(workers)
     n = len(values)
@@ -186,9 +185,6 @@ def _run_steps(steps: tuple, data: list, errors: dict, done: list, f: Callable) 
 @dataclass(frozen=True, slots=True)
 class TaskNode:
     ordinal: int
-    left_id: int
-    right_id: int
-    out_id: int
     owner: int
     deps: tuple[int, ...]
 
@@ -260,48 +256,44 @@ def _schedule(plan: Plan, n: int, workers: int) -> tuple[TaskGraph, tuple | None
     number of locks. Cached on the plan's value, so equal plans share one
     immutable schedule.
 
-    Seeds are values 1..n. Each worker owns one block of them: element i is
-    owned by worker (i-1) // ceil(n/workers) + 1. Update k is task k; its
-    output is value n + k, owned by the owner of its right read. Task k depends on the
-    last task to touch each of its cells, on its worker's previous task and
-    on the producer of the value it overwrites. A worker's program is its
-    tasks as steps (waits, passes, release): a step starts at a task that
-    depends on another worker's and ends after a task that another worker's
-    depends on; waits and release are lock indices. Above MAX_WORKERS, where
-    no thread may run, there are no programs.
+    Each worker owns one block of the cells: cell i is owned by worker
+    (i-1) // ceil(n/workers) + 1 until an update writes it. Update k is task
+    k, on the owner of its right read, and its write moves the cell to that
+    worker. Task k depends on the last task to touch each of its cells and on
+    its worker's previous task. A worker's program is its tasks as steps
+    (waits, passes, release): a step starts at a task that depends on another
+    worker's and ends after a task that another worker's depends on; waits
+    and release are lock indices. Above MAX_WORKERS, where no thread may run,
+    there are no programs.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     size = -(-n // workers)
-    fid = list(range(1, n + 1))  # id of each cell's current value
     owner = [i // size + 1 for i in range(n)]
-    producer = [0] * n  # task that wrote each cell's value; 0 for a seed
     toucher = [0] * n  # last task to touch each cell
     last_on: dict[int, int] = {}  # last task of each worker
     nodes: list[TaskNode] = []
     threaded = workers <= MAX_WORKERS
-    task_owner = [0]  # worker of each task
     waits: dict[int, tuple[int, ...]] = {}  # task -> the locks it waits on
     lock: dict[int, int] = {}  # lock index of each task that another worker needs
     for k, (a, b, w) in enumerate(_updates(plan), start=1):
         o = owner[b]
-        deps = {toucher[a], toucher[b], toucher[w], last_on.get(o, 0), producer[w]}
+        deps = {toucher[a], toucher[b], toucher[w], last_on.get(o, 0)}
         deps.discard(0)
         deps = tuple(sorted(deps))
-        nodes.append(TaskNode(k, fid[a], fid[b], n + k, o, deps))
-        toucher[a] = toucher[b] = toucher[w] = last_on[o] = producer[w] = k
-        fid[w], owner[w] = n + k, o
+        nodes.append(TaskNode(k, o, deps))
+        toucher[a] = toucher[b] = toucher[w] = last_on[o] = k
+        owner[w] = o
         if threaded:
-            needs = [lock.setdefault(d, len(lock)) for d in deps if task_owner[d] != o]
+            needs = [lock.setdefault(d, len(lock)) for d in deps if nodes[d - 1].owner != o]
             if needs:
                 waits[k] = tuple(needs)
-            task_owner.append(o)
     graph = TaskGraph(nodes)
     if not threaded:
         return graph, None, 0
     steps: list[list] = [[] for _ in range(workers + 1)]  # [waits, updates, release]
     for k, update in enumerate(_updates(plan), start=1):
-        mine = steps[task_owner[k]]
+        mine = steps[nodes[k - 1].owner]
         if k in waits or not mine or mine[-1][2] is not None:
             mine.append([waits.get(k, ()), [], None])
         mine[-1][1].append(update)

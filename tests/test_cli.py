@@ -17,7 +17,7 @@ import mutants
 from scanforge.cli import UsageError, _parse_p_range, main, parse_elements
 from scanforge.kernels import KERNEL_NAMES, get_kernel
 from scanforge.render import layout, svg_string
-from scanforge import kernels
+from scanforge import kernels, render
 from scanforge.runtime import MAX_N, MAX_WORKERS
 from scanforge.tracing import run_traced, trace_to_json
 from scanforge.verify import IDENTITY, Range, race_check_history, verify_race_free
@@ -185,17 +185,27 @@ def test_bench_refuses_bad_op_cost(capsys, flags):
     ["bench", "--virtual-clock", "--p-range", str(MAX_N + 1)],
     ["bench", "--p-range", f"4:{2 * MAX_N}", "--virtual-clock"],
     ["bench", "--p-range", str(MAX_N + 1)],
-], ids=["trace", "render", "verify", "bench-virtual", "bench-virtual-range", "bench-wall"])
+    ["render", "--trace", "{trace}", "--n", str(MAX_N + 1), "--out", "{out}"],
+    ["render", "--trace", "{trace}", "--out", "{out}"],
+], ids=["trace", "render", "verify", "bench-virtual", "bench-virtual-range", "bench-wall",
+        "render-trace-n", "render-trace-inferred"])
 def test_size_over_the_cap_is_usage_error(monkeypatch, capsys, tmp_path, argv):
-    # `bench --virtual-clock --p-range 99999999999` used to record ~1e11 updates.
+    # `bench --virtual-clock --p-range 99999999999` used to record ~1e11 updates,
+    # and `render --trace` on a one-row trace to draw ~1e11 guidelines.
     def no_recording(*args):
         raise AssertionError("a plan was recorded")
 
+    def no_drawing(*args):
+        raise AssertionError("an SVG was drawn")
+
     monkeypatch.setattr(kernels, "_record", no_recording)
+    monkeypatch.setattr(render, "_svg", no_drawing)
     kernels._plan.cache_clear()
     before = threading.active_count()
     out = tmp_path / "over.svg"
-    assert main([a.format(out=out) for a in argv]) == 2
+    trace = tmp_path / "wide.json"
+    trace.write_text(json.dumps([{"reads": [1, MAX_N + 1], "write": MAX_N + 1}]))
+    assert main([a.format(out=out, trace=trace) for a in argv]) == 2
     assert f"MAX_N ({MAX_N})" in capsys.readouterr().err
     assert threading.active_count() == before
     assert not out.exists()

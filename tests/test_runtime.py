@@ -20,6 +20,8 @@ from scanforge.kernels import (
     SERIAL,
     ContractError,
     ScanKernel,
+    _plan,
+    _updates,
     scan_then_fan_kernel,
 )
 from scanforge.runtime import (
@@ -273,16 +275,17 @@ def test_failed_run_leaves_no_cyclic_garbage():
 
 
 def test_owner_placement_rule():
-    # every lifted op's output future lives on its right operand's owner
+    # every update runs on its right operand's owner, and its write moves the
+    # cell there; each cell starts on its block's owner
     _, graph = run_parallel_detailed(BRENT_KUNG, list(range(1, 17)), add, 16)
     assert len(graph.nodes) > 0
     run = run_virtual(BRENT_KUNG, list(range(1, 17)), add, 16)
-    by_out = {node.out_id: node for node in run.graph.nodes}
-    for node in run.graph.nodes:
-        right_owner = by_out[node.right_id].owner if node.right_id in by_out else (
-            (node.right_id - 1) // -(-16 // 16) + 1  # the seed's block owner
-        )
-        assert node.owner == right_owner
+    owner = [i // -(-16 // 16) + 1 for i in range(16)]
+    updates = list(_updates(_plan(BRENT_KUNG, 16)))
+    assert len(updates) == len(run.graph.nodes)
+    for node, (_, b, w) in zip(run.graph.nodes, updates):
+        assert node.owner == owner[b]
+        owner[w] = node.owner
 
 
 def test_virtual_ticks_equal_critical_path():
@@ -307,7 +310,7 @@ def test_critical_path_examples():
 
 def test_critical_path_rejects_cycles():
     with pytest.raises(CycleError):
-        TaskGraph([TaskNode(1, 1, 2, 3, 1, deps=(1,))])
+        TaskGraph([TaskNode(1, 1, deps=(1,))])
 
 
 def test_speedup_model_values():

@@ -1,0 +1,70 @@
+"""The schedule's dependency rule: task k depends on the last task to touch
+each of its cells and on its worker's previous task. It used to depend on
+the producer of the value it overwrites too; the last toucher of that cell
+implies that edge, so dropping it changes no depth and adds no wait."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mutants
+from test_poisoning import any_updates, oblivious
+from scanforge.kernels import (BRENT_KUNG, KERNEL_NAMES, SERIAL, _kernel_plan, _updates,
+                               get_kernel, scan_then_fan_kernel)
+from scanforge.runtime import _schedule, build_task_graph
+
+
+def three_part_rule(kernel, n, workers):
+    """The depth of the earlier rule's schedule, one update at a time, and
+    the tasks that another worker waits on in it. Each worker starts with
+    one block of the cells, and a write moves its cell to the writer."""
+    size = -(-n // workers)
+    owner = [i // size + 1 for i in range(n)]
+    toucher, producer, last_on = [0] * n, [0] * n, {}
+    worker, chain, waited = [0], [0], set()  # per task, from task 1
+    for k, (a, b, w) in enumerate(_updates(_kernel_plan(kernel, n)), start=1):
+        o = owner[b]
+        deps = {toucher[a], toucher[b], toucher[w], last_on.get(o, 0), producer[w]} - {0}
+        chain.append(1 + max((chain[d] for d in deps), default=0))
+        waited |= {d for d in deps if worker[d] != o}
+        worker.append(o)
+        toucher[a] = toucher[b] = toucher[w] = last_on[o] = producer[w] = k
+        owner[w] = o
+    return max(chain), waited
+
+
+def waited_on(graph):
+    owner = {node.ordinal: node.owner for node in graph.nodes}
+    return {d for node in graph.nodes for d in node.deps if owner[d] != node.owner}
+
+
+@given(st.sampled_from(("random",) + KERNEL_NAMES + tuple(mutants.ALL)),
+       st.integers(min_value=0, max_value=40),
+       st.integers(min_value=1, max_value=12),
+       st.data())
+@settings(max_examples=400, deadline=None)
+def test_schedule_keeps_the_depth_of_the_three_part_rule(name, n, chunks, data):
+    if name == "random":
+        kernel = oblivious(data.draw(any_updates(n), label="updates"))
+    elif name in mutants.ALL:
+        kernel = mutants.ALL[name]
+    else:
+        kernel = get_kernel(name, chunks)
+        n = kernel.fixed_length or n
+    workers = data.draw(st.integers(min_value=1, max_value=n + 1), label="workers")
+    graph = build_task_graph(kernel, n, workers)
+    depth, waited = three_part_rule(kernel, n, workers)
+    assert graph.depth == depth
+    assert waited_on(graph) <= waited
+    assert _schedule(_kernel_plan(kernel, n), n, workers)[2] == len(waited_on(graph))
+
+
+@pytest.mark.parametrize("kernel, workers, locks", [
+    (SERIAL, 2, 1), (BRENT_KUNG, 2, 1), (scan_then_fan_kernel(8), 2, 1),
+    (SERIAL, 8, 7), (BRENT_KUNG, 8, 15), (scan_then_fan_kernel(8), 8, 12),
+], ids=["serial-2", "brent-kung-2", "scan-then-fan-2", "serial-8", "brent-kung-8",
+        "scan-then-fan-8"])
+def test_built_in_kernels_wait_on_as_few_tasks_as_before(kernel, workers, locks):
+    graph, _, made = _schedule(_kernel_plan(kernel, 1024), 1024, workers)
+    assert made == len(waited_on(graph)) == len(three_part_rule(kernel, 1024, workers)[1])
+    assert made == locks

@@ -1,4 +1,7 @@
-"""Reference for run_virtual: the simulator it replaced, kept verbatim.
+"""Reference for run_virtual: the simulator it replaced, kept verbatim but
+for two deletions. Its value ids are gone, and so is the dependency on the
+producer of the overwritten value, which the last toucher of that cell
+already implies.
 
 It drives the kernel's own get/put stream through closures over
 future-like cells and wires each task's dependencies as the put arrives.
@@ -7,7 +10,6 @@ Tests require run_virtual to give the same results, ticks and task nodes.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Sequence
 
 from scanforge.kernels import ScanKernel
@@ -15,10 +17,9 @@ from scanforge.runtime import TaskGraph, TaskNode, VirtualRun
 
 
 class _VirtualCell:
-    __slots__ = ("id", "value", "owner", "ready", "ordinal")
+    __slots__ = ("value", "owner", "ready", "ordinal")
 
-    def __init__(self, fid, value, owner, ready=0, ordinal=None):
-        self.id = fid
+    def __init__(self, value, owner, ready=0, ordinal=None):
         self.value = value
         self.owner = owner
         self.ready = ready  # tick at which the value resolves
@@ -40,11 +41,10 @@ def run_virtual(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    ids = itertools.count(1)
     n = len(values)
     size = -(-n // workers)  # each worker owns one contiguous block of seeds
     cells = [
-        _VirtualCell(next(ids), v, i // size + 1) for i, v in enumerate(values)
+        _VirtualCell(v, i // size + 1) for i, v in enumerate(values)
     ]
     nodes: list[TaskNode] = []
     ready_of: dict[int, int] = {}  # task ordinal -> completion tick
@@ -72,31 +72,21 @@ def run_virtual(
             deps = sorted(
                 {last_toucher[c] for c in touched if c in last_toucher}
                 | ({worker_free[cell.owner]} if cell.owner in worker_free else set())
-                | ({cells[i - 1].ordinal} if cells[i - 1].ordinal else set())
             )
             start = max((ready_of[d] for d in deps), default=0)
             cell.ready = start + op_cost
             ready_of[ordinal] = cell.ready
             state["ticks"] = max(state["ticks"], cell.ready)
-            nodes[ordinal - 1] = TaskNode(
-                ordinal=ordinal,
-                left_id=nodes[ordinal - 1].left_id,
-                right_id=nodes[ordinal - 1].right_id,
-                out_id=cell.id,
-                owner=cell.owner,
-                deps=tuple(deps),
-            )
+            nodes[ordinal - 1] = TaskNode(ordinal, cell.owner, tuple(deps))
             for c in touched:
                 last_toucher[c] = ordinal
             worker_free[cell.owner] = ordinal
             cells[i - 1] = cell
 
     def lifted(c1: _VirtualCell, c2: _VirtualCell) -> _VirtualCell:
-        out = _VirtualCell(next(ids), op(c1.value, c2.value), c2.owner)
+        out = _VirtualCell(op(c1.value, c2.value), c2.owner)
         out.ordinal = len(nodes) + 1
-        nodes.append(
-            TaskNode(out.ordinal, c1.id, c2.id, out.id, out.owner, deps=())
-        )
+        nodes.append(TaskNode(out.ordinal, out.owner, deps=()))
         return out
 
     kernel(_VStore(), lifted)
