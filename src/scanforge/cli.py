@@ -136,8 +136,8 @@ def _cmd_render(args) -> int:
             history = tracing.trace_from_json(f.read())
         top = [max(t.reads + (t.write,)) for t in history]
         n = args.n if args.n is not None else max(top, default=0)
-        if n > runtime.MAX_N:  # before any layout: the SVG draws a line per index
-            raise UsageError(f"a diagram {n} lines wide: n must be <= MAX_N ({runtime.MAX_N})")
+        if not 0 <= n <= runtime.MAX_N:  # before any layout: the SVG draws a line per index
+            raise UsageError(f"a diagram {n} lines wide: n must be in 0..MAX_N ({runtime.MAX_N})")
         for ordinal, k in enumerate(top, start=1):
             if k > n:
                 raise ValueError(f"trace row {ordinal} uses index {k}, outside 1..{n}")

@@ -280,8 +280,8 @@ def _passes(plan: Plan) -> Iterator[tuple]:
 
 def _run_pass(data: list, f: Callable, out: list, path: str, a: int, b: int, w: int,
               da: int, db: int, dw: int, count: int) -> None:
-    """A chain or alias-free pass as _replay runs it, its results collected
-    in out. If the operator raises, out holds the results before it (after a
+    """A chain or alias-free pass, its results collected in out and written
+    to data. If the operator raises, out holds the results before it (after a
     chain's first cell), and those are written: the run can go on from there."""
     start = a if path == "chain" else w  # the cell of out[0]
     try:
@@ -295,21 +295,17 @@ def _run_pass(data: list, f: Callable, out: list, path: str, a: int, b: int, w: 
 
 def _replay(plan: Plan, data: list, op: Callable) -> None:
     """Run the plan on data, making the operator calls of the per-update loop
-    in the same order. A chain or alias-free segment runs as C-level passes
-    (accumulate or map) of up to _PASS updates each; a pass writes nothing
-    until the operator has made all of its calls."""
-    # Passes run inline, not via _run_pass, which measured 3-8% slower on run_virtual at n=4096.
+    in the same order. A chain or alias-free segment runs as _run_pass passes
+    of up to _PASS updates each. If a call raises, data holds what the
+    per-update loop would have written before that call."""
     # AssocOp.__call__ only forwards to fn; skipping it saves a frame per update.
     f = op.fn if type(op) is AssocOp else op
     for path, a, b, w, da, db, dw, count in _passes(plan):
-        if path == "loop":
-            for j, k, i in zip(_progression(a, da, count), _progression(b, db, count),
-                               _progression(w, dw, count)):
-                data[i] = f(data[j], data[k])
-        elif path == "chain":
-            data[a:w + count] = accumulate(data[a:w + count], f)
-        else:
-            data[w:w + dw * count:dw] = map(f, _cells(data, a, da, count), _cells(data, b, db, count))
+        if path != "loop":
+            _run_pass(data, f, [], path, a, b, w, da, db, dw, count)
+            continue
+        for j, k, i in _updates(((a, b, w, da, db, dw, count),)):
+            data[i] = f(data[j], data[k])
 
 
 @dataclass(frozen=True, eq=False)

@@ -109,38 +109,30 @@ def run_parallel_detailed(
     """Run the kernel's plan on worker threads; also return the task graph.
 
     The graph is the plan's cached schedule, the one `run_virtual` and
-    `build_task_graph` read.
+    `build_task_graph` read; the workers run the steps `_programs` cuts from
+    it. An operator's error poisons its cell; the lowest poisoned cell's is raised.
     """
     _check_workers(workers)
     n = len(values)
     plan = _kernel_plan(kernel, n)
-    graph, programs, locks = _schedule(plan, n, workers)
-    results, error = _run_schedule(programs, locks, values, op)
-    if error is not None:
-        try:
-            raise error
-        finally:
-            error = None  # the traceback holds this frame: no cycle through it
-    return results, graph
-
-
-def _run_schedule(programs: tuple, locks: int, values: Sequence[Any],
-                  op: Callable) -> tuple[list | None, BaseException | None]:
-    """The final value of every cell, or the error of the lowest cell whose
-    final value is poisoned. An operator's error is returned, not raised, so
-    that no traceback holds this frame's values."""
+    graph = _schedule(plan, n, workers)
+    programs, locks = _programs(plan, n, workers)
     data = list(values)
     errors: dict[int, BaseException] = {}  # poisoned cell -> its error
     done = [threading.Lock() for _ in range(locks)]  # held until its task has run
     for lock in done:
         lock.acquire()
     f = op.fn if type(op) is AssocOp else op
-    with Cluster(len(programs)) as cluster:  # shutdown() returns once every task ran
+    with Cluster(workers) as cluster:  # shutdown() returns once every task ran
         for worker, steps in enumerate(programs, start=1):
             cluster.submit(worker, functools.partial(_run_steps, steps, data, errors, done, f))
     if errors:
-        return None, errors[min(errors)]
-    return data, None
+        error, errors = errors[min(errors)], None  # the traceback holds this frame: no cycle
+        try:
+            raise error
+        finally:
+            error = None
+    return data, graph
 
 
 def _run_steps(steps: tuple, data: list, errors: dict, done: list, f: Callable) -> None:
@@ -218,6 +210,8 @@ class TaskGraph:
 
 def critical_path(graph: TaskGraph, op_cost: int = 1) -> int:
     """Longest dependency chain, in operator applications times op_cost."""
+    if op_cost < 0:
+        raise ValueError(f"op_cost must be >= 0 ticks, got {op_cost}")
     return graph.depth * op_cost
 
 
@@ -251,20 +245,16 @@ class VirtualRun:
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _schedule(plan: Plan, n: int, workers: int) -> tuple[TaskGraph, tuple | None, int]:
-    """The plan's task graph on FIFO workers, each worker's program and its
-    number of locks. Cached on the plan's value, so equal plans share one
-    immutable schedule.
+def _schedule(plan: Plan, n: int, workers: int) -> TaskGraph:
+    """The plan's task graph on FIFO workers: the one statement of the
+    dependency rule. Cached on the plan's value, so equal plans share one
+    immutable graph.
 
     Each worker owns one block of the cells: cell i is owned by worker
     (i-1) // ceil(n/workers) + 1 until an update writes it. Update k is task
     k, on the owner of its right read, and its write moves the cell to that
     worker. Task k depends on the last task to touch each of its cells and on
-    its worker's previous task. A worker's program is its tasks as steps
-    (waits, passes, release): a step starts at a task that depends on another
-    worker's and ends after a task that another worker's depends on; waits
-    and release are lock indices. Above MAX_WORKERS, where no thread may run,
-    there are no programs.
+    its worker's previous task.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -273,27 +263,32 @@ def _schedule(plan: Plan, n: int, workers: int) -> tuple[TaskGraph, tuple | None
     toucher = [0] * n  # last task to touch each cell
     last_on: dict[int, int] = {}  # last task of each worker
     nodes: list[TaskNode] = []
-    threaded = workers <= MAX_WORKERS
-    waits: dict[int, tuple[int, ...]] = {}  # task -> the locks it waits on
-    lock: dict[int, int] = {}  # lock index of each task that another worker needs
     for k, (a, b, w) in enumerate(_updates(plan), start=1):
         o = owner[b]
         deps = {toucher[a], toucher[b], toucher[w], last_on.get(o, 0)}
         deps.discard(0)
-        deps = tuple(sorted(deps))
-        nodes.append(TaskNode(k, o, deps))
+        nodes.append(TaskNode(k, o, tuple(sorted(deps))))
         toucher[a] = toucher[b] = toucher[w] = last_on[o] = k
         owner[w] = o
-        if threaded:
-            needs = [lock.setdefault(d, len(lock)) for d in deps if nodes[d - 1].owner != o]
-            if needs:
-                waits[k] = tuple(needs)
-    graph = TaskGraph(nodes)
-    if not threaded:
-        return graph, None, 0
+    return TaskGraph(nodes)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _programs(plan: Plan, n: int, workers: int) -> tuple[tuple, int]:
+    """Each worker's tasks in the plan's task graph as steps (waits, passes,
+    release), and the number of locks: one per task that another worker waits
+    for. A step starts at a task that waits on another worker's and ends after
+    a task that another worker's waits on; waits and release are lock indices."""
+    nodes = _schedule(plan, n, workers).nodes
+    waits: dict[int, tuple[int, ...]] = {}  # task -> the locks it waits on
+    lock: dict[int, int] = {}  # lock index of each task that another worker needs
+    for node in nodes:
+        if needs := [lock.setdefault(d, len(lock)) for d in node.deps
+                     if nodes[d - 1].owner != node.owner]:
+            waits[node.ordinal] = tuple(needs)
     steps: list[list] = [[] for _ in range(workers + 1)]  # [waits, updates, release]
-    for k, update in enumerate(_updates(plan), start=1):
-        mine = steps[nodes[k - 1].owner]
+    for node, update in zip(nodes, _updates(plan)):
+        k, mine = node.ordinal, steps[node.owner]
         if k in waits or not mine or mine[-1][2] is not None:
             mine.append([waits.get(k, ()), [], None])
         mine[-1][1].append(update)
@@ -301,7 +296,7 @@ def _schedule(plan: Plan, n: int, workers: int) -> tuple[TaskGraph, tuple | None
             mine[-1][2] = lock[k]
     programs = tuple(tuple((ws, tuple(_passes(_segments(ups, n))), release)
                            for ws, ups, release in mine) for mine in steps[1:])
-    return graph, programs, len(lock)
+    return programs, len(lock)
 
 
 def run_virtual(
@@ -316,19 +311,19 @@ def run_virtual(
     Values come from replaying the kernel's plan on a copy of values. The
     task graph is the plan's cached schedule: the threaded run's per-cell
     access-order dependencies plus per-worker FIFO order. Every operator
-    application costs op_cost ticks, so ticks are op_cost times its depth.
+    application costs op_cost ticks, so ticks are its critical_path.
     """
     n = len(values)
     plan = _kernel_plan(kernel, n)
-    graph = _schedule(plan, n, workers)[0]
-    data = list(values)
-    _replay(plan, data, op)
-    return VirtualRun(data, graph.depth * op_cost, graph)
+    graph = _schedule(plan, n, workers)
+    run = VirtualRun(list(values), critical_path(graph, op_cost), graph)
+    _replay(plan, run.results, op)
+    return run
 
 
 def build_task_graph(kernel: ScanKernel | Callable, n: int, workers: int = 0) -> TaskGraph:
     """Task graph of one kernel run at size n (workers defaults to n)."""
-    return _schedule(_kernel_plan(kernel, n), n, workers or max(n, 1))[0]
+    return _schedule(_kernel_plan(kernel, n), n, workers or max(n, 1))
 
 
 # --- Benchmark harness -----------------------------------------------------
@@ -393,8 +388,8 @@ def bench(
         if virtual:
             cost = max(1, int(op_cost))
             # ticks are exact: one schedule per kernel, whatever trials is
-            t_s = _schedule(_kernel_plan(serial_kernel, p), p, workers)[0].depth * cost
-            t_p = _schedule(_kernel_plan(parallel_kernel, p), p, workers)[0].depth * cost
+            t_s = _schedule(_kernel_plan(serial_kernel, p), p, workers).depth * cost
+            t_p = _schedule(_kernel_plan(parallel_kernel, p), p, workers).depth * cost
         else:
             values = list(range(1, p + 1))
             op = _delayed_add(op_cost)

@@ -262,6 +262,7 @@ def test_p_range_without_points_is_usage_error(spec, capsys):
      "row 2 uses index 9, outside 1..8"),
     ([{"reads": [0, 1], "write": 1}], None, "row 1 has an index"),
     ({"reads": [1, 2], "write": 2}, None, "JSON list"),
+    ([], -3, "a diagram -3 lines wide"),  # used to write an SVG of negative width
 ])
 def test_render_rejects_malformed_trace(tmp_path, capsys, rows, n, complaint):
     trace = tmp_path / "t.json"

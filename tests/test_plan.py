@@ -23,6 +23,7 @@ from scanforge.kernels import (
     _record,
     _replay,
     _segment_path,
+    _updates,
     chunk_schedule,
     get_kernel,
     iceil_log2,
@@ -327,7 +328,14 @@ def test_operator_error_propagates_from_replay(kernel, fail_at):
             raise error
         return x + y
 
+    store = ListStore(range(n))
     with pytest.raises(Raised) as info:
-        kernel(ListStore(range(n)), failing)
+        kernel(store, failing)
     assert info.value is error
     assert len(calls) == fail_at
+    # Every replay path writes the results of the calls before the failing one,
+    # as the per-update loop stopped there would.
+    want = list(range(n))
+    for (j, k, i), _ in zip(_updates(_plan(kernel, n)), range(fail_at - 1)):
+        want[i] = want[j] + want[k]
+    assert store.to_list() == want

@@ -221,6 +221,11 @@ def test_virtual_op_cost_counts_whole_ticks():
         assert bench(SERIAL, BRENT_KUNG, [4, 8], op_cost=cost, trials=1, virtual=True) == ones
     with pytest.raises(ValueError, match="op_cost must be >= 0 ticks"):
         bench(SERIAL, BRENT_KUNG, [4], op_cost=-1, trials=1, virtual=True)
+    # run_virtual and critical_path used to give -3 and -9 ticks.
+    with pytest.raises(ValueError, match="op_cost must be >= 0 ticks"):
+        run_virtual(BRENT_KUNG, [1, 2, 3, 4], add, 2, op_cost=-1)
+    with pytest.raises(ValueError, match="op_cost must be >= 0 ticks"):
+        critical_path(build_task_graph(BRENT_KUNG, 4, 2), -3)
 
 
 def test_bench_refuses_an_op_cost_sleep_cannot_take():

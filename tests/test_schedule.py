@@ -3,6 +3,8 @@ each of its cells and on its worker's previous task. It used to depend on
 the producer of the value it overwrites too; the last toucher of that cell
 implies that edge, so dropping it changes no depth and adds no wait."""
 
+from operator import add
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,8 @@ import mutants
 from test_poisoning import any_updates, oblivious
 from scanforge.kernels import (BRENT_KUNG, KERNEL_NAMES, SERIAL, _kernel_plan, _updates,
                                get_kernel, scan_then_fan_kernel)
-from scanforge.runtime import _schedule, build_task_graph
+from scanforge.runtime import (WORKERS_ENV, _programs, _schedule, bench, build_task_graph,
+                               run_virtual)
 
 
 def three_part_rule(kernel, n, workers):
@@ -56,7 +59,7 @@ def test_schedule_keeps_the_depth_of_the_three_part_rule(name, n, chunks, data):
     depth, waited = three_part_rule(kernel, n, workers)
     assert graph.depth == depth
     assert waited_on(graph) <= waited
-    assert _schedule(_kernel_plan(kernel, n), n, workers)[2] == len(waited_on(graph))
+    assert _programs(_kernel_plan(kernel, n), n, workers)[1] == len(waited_on(graph))
 
 
 @pytest.mark.parametrize("kernel, workers, locks", [
@@ -65,6 +68,17 @@ def test_schedule_keeps_the_depth_of_the_three_part_rule(name, n, chunks, data):
 ], ids=["serial-2", "brent-kung-2", "scan-then-fan-2", "serial-8", "brent-kung-8",
         "scan-then-fan-8"])
 def test_built_in_kernels_wait_on_as_few_tasks_as_before(kernel, workers, locks):
-    graph, _, made = _schedule(_kernel_plan(kernel, 1024), 1024, workers)
+    graph = _schedule(_kernel_plan(kernel, 1024), 1024, workers)
+    made = _programs(_kernel_plan(kernel, 1024), 1024, workers)[1]
     assert made == len(waited_on(graph)) == len(three_part_rule(kernel, 1024, workers)[1])
     assert made == locks
+
+
+def test_virtual_callers_cut_no_worker_programs(monkeypatch):
+    # The schedule used to cut every worker's steps for the virtual clock too.
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    before = _programs.cache_info()
+    run_virtual(BRENT_KUNG, list(range(1, 778)), add, 5)
+    build_task_graph(SERIAL, 779, 6)
+    bench(SERIAL, BRENT_KUNG, [37], op_cost=1, trials=1, virtual=True)
+    assert _programs.cache_info() == before
