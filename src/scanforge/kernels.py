@@ -222,6 +222,8 @@ def _plan(kernel: "ScanKernel", n: int) -> Plan:
 def _kernel_plan(kernel: "ScanKernel | Callable", n: int) -> Plan:
     """The plan at length n: cached for a ScanKernel, recorded again for a
     plain callable. Either way the kernel is checked against the contract."""
+    if n < 0:
+        raise ValueError("length must be >= 0")
     return _plan(kernel, n) if isinstance(kernel, ScanKernel) else _record(kernel, n)
 
 

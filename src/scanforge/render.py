@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Callable, Iterable, Sequence
 
-from .kernels import ScanKernel
+from .kernels import ScanKernel, _kernel_plan
 from .tracing import Transaction, _history_rows, _plan_rows
 
 R_IN = 0.1
@@ -69,7 +69,7 @@ def svg_string(d: Diagram, viewport: tuple[int, int] = (600, 400)) -> str:
 def _plan_svg(kernel: ScanKernel | Callable, n: int, viewport: tuple[int, int]) -> str:
     """svg_string(layout(run_traced(kernel, n), n), viewport), read from the
     plan's columns."""
-    firsts, seconds, writes, depths = _plan_rows(kernel, n)
+    firsts, seconds, writes, depths = _plan_rows(_kernel_plan(kernel, n))
     return _svg(n, depths[-1] if depths else 0, list(zip(firsts, seconds)),
                 list(zip(writes)), depths, viewport)
 

@@ -22,7 +22,7 @@ from itertools import accumulate, chain
 from operator import le
 from typing import Callable, Iterable
 
-from .kernels import ScanKernel, _kernel_plan, _progression
+from .kernels import Plan, ScanKernel, _kernel_plan, _progression
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,11 @@ class Transaction:
 TraceHistory = list[Transaction]
 
 
-def _columns(kernel: ScanKernel | Callable, n: int) -> tuple[list[int], list[int], list[int]]:
-    """The plan's updates at length n as 1-based columns: first reads, second
-    reads and writes, each built a segment at a time."""
-    if n < 0:
-        raise ValueError("length must be >= 0")
+def _columns(plan: Plan) -> tuple[list[int], list[int], list[int]]:
+    """The plan's updates as 1-based columns: first reads, second reads and
+    writes, each built a segment at a time."""
     firsts, seconds, writes = [], [], []
-    for a, b, w, da, db, dw, count in _kernel_plan(kernel, n):
+    for a, b, w, da, db, dw, count in plan:
         firsts += _progression(a + 1, da, count)
         seconds += _progression(b + 1, db, count)
         writes += _progression(w + 1, dw, count)
@@ -62,9 +60,9 @@ def _depths(lows: Iterable, writes: Iterable[int]) -> list[int]:
     return depths
 
 
-def _plan_rows(kernel: ScanKernel | Callable, n: int) -> tuple[list[int], ...]:
+def _plan_rows(plan: Plan) -> tuple[list[int], ...]:
     """The plan's columns (first reads, second reads, writes) and their depths."""
-    firsts, seconds, writes = _columns(kernel, n)
+    firsts, seconds, writes = _columns(plan)
     return firsts, seconds, writes, _depths(map(min, firsts, seconds), writes)
 
 
@@ -81,7 +79,7 @@ def run_traced(kernel: ScanKernel | Callable, n: int) -> TraceHistory:
 
     A kernel that breaks the store contract raises kernels.ContractError.
     """
-    firsts, seconds, writes = _columns(kernel, n)
+    firsts, seconds, writes = _columns(_kernel_plan(kernel, n))
     return list(map(Transaction, zip(firsts, seconds), writes))
 
 
@@ -146,7 +144,7 @@ def trace_to_json(history: TraceHistory) -> str:
 
 def _plan_json(kernel: ScanKernel | Callable, n: int) -> str:
     """trace_to_json(run_traced(kernel, n)), read from the plan's columns."""
-    firsts, seconds, writes, depths = _plan_rows(kernel, n)
+    firsts, seconds, writes, depths = _plan_rows(_kernel_plan(kernel, n))
     pairs = [f"[\n      {a},\n      {b}\n    ]" for a, b in zip(firsts, seconds)]
     return _json_rows(pairs, writes, depths)
 

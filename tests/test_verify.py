@@ -1,18 +1,25 @@
 import copy
+import functools
 import itertools
 import json
 import pickle
 import random
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scanforge.cli import main
 from scanforge.kernels import (
     BRENT_KUNG,
     BRENT_KUNG_8,
     SERIAL,
     ContractError,
     ScanKernel,
+    _kernel_plan,
+    scan_brent_kung,
     scan_serial,
     scan_then_fan_kernel,
 )
@@ -21,7 +28,10 @@ from scanforge.tracing import Transaction
 from scanforge.verify import (
     IDENTITY,
     Range,
+    RaceReport,
     TOP,
+    _interval_columns,
+    _race_check,
     expected_intervals,
     interval_plus,
     race_check_history,
@@ -31,6 +41,11 @@ from scanforge.verify import (
     verify_serial,
 )
 from mutants import ALL as MUTANTS, CONTRACT_BREACHES
+from test_executors import oblivious, updates
+
+# verify_parallel's JSON for the mutants and `scanforge verify`'s stdout and exit
+# code for the built-in kernels, as the Range replay alone produced them.
+GRID = json.loads((Path(__file__).parent / "goldens" / "verify_grid.json").read_text())
 
 
 def all_intervals(max_index=6):
@@ -186,8 +201,10 @@ def test_verify_parallel_runs_the_kernel_code_once():
         calls.append(len(store))
         return scan_serial(store, op)
 
-    assert verify_parallel(ScanKernel("counted", counted), 37).ok
-    assert calls == [37]
+    for kernel in (ScanKernel("counted", counted), counted):  # cached plan, plain callable
+        calls.clear()
+        assert verify_parallel(kernel, 37).ok
+        assert calls == [37]
 
 
 def test_verify_parallel_json_shape():
@@ -222,3 +239,110 @@ def test_soundness_cross_check():
 def test_verify_rejects_n_zero():
     with pytest.raises(ValueError):
         verify_serial(SERIAL, 0)
+
+
+SIZES = (1, 2, 3, 5, 8, 33, 100, 257)
+SCANS = [scan_serial, scan_brent_kung, *MUTANTS.values(), *map(scan_then_fan_kernel, range(1, 10))]
+
+
+def twice(first, second):
+    """A kernel running first and then second on the same store."""
+    def kernel(store, op):
+        return second(first(store, op), op)
+    return kernel
+
+
+def gather(triples):
+    """A kernel making the given (a, b, w) updates d[w] = op(d[a], d[b]), in order."""
+    def kernel(store, op):
+        for a, b, w in triples:
+            store.put(w, op(store.get(a), store.get(b)))
+        return store
+    return kernel
+
+
+def runs(n):
+    """Runs of updates (a + k*da, b + k*db, w + k*dw), each cut where it leaves 1..n."""
+    step = st.integers(-2, 2)
+    run = st.tuples(*[st.integers(1, n)] * 3, step, step, step, st.integers(1, n))
+    return st.lists(run, max_size=4).map(lambda runs: [
+        (a + k * da, b + k * db, w + k * dw)
+        for a, b, w, da, db, dw, count in runs for k in range(count)
+        if all(0 < x <= n for x in (a + k * da, b + k * db, w + k * dw))])
+
+
+def columns_are_the_range_replay(kernel, n):
+    """The lo and hi columns hold the Range replay's output, or are None
+    exactly when the Range replay makes a TOP."""
+    columns = _interval_columns(_kernel_plan(kernel, n), n)
+    serial = verify_serial(kernel, n)
+    if columns is None:
+        return serial.first_top is not None
+    return serial.first_top is None and serial.output == list(map(Range, *columns))
+
+
+@pytest.mark.parametrize("n", SIZES + (4099,))  # 4099: a chain longer than one pass
+@pytest.mark.parametrize("k", range(len(SCANS)))
+def test_column_proof_agrees_with_the_range_replay(k, n):
+    assert columns_are_the_range_replay(SCANS[k], n)
+
+
+@pytest.mark.parametrize("kernel, n", [
+    (twice(scan_serial, scan_serial), 9),  # the first join of a chain fails
+    (twice(oblivious([(3, 4)]), scan_serial), 4),  # the last join of a chain fails
+    (twice(oblivious([(3, 4)]), scan_brent_kung), 8),  # the first join of an alias-free pass fails
+    (gather([(1, 2, 4), (2, 3, 5)]), 6),  # an alias-free pass writes past its second reads
+    (MUTANTS["transposed-operands"], 5),  # a loop pass joins 2:2 onto 1:1
+    (gather([(1, 2, 3)]), 3),  # a loop pass writes past its second read
+    (MUTANTS["wrong-offset"], 2),  # no update, and 2:2 is not 1:2
+], ids=["chain-first", "chain-last", "alias-free-first", "alias-free-apart", "loop",
+        "loop-apart", "end"])
+def test_columns_follow_the_range_replay_through_each_kind_of_pass(kernel, n):
+    assert columns_are_the_range_replay(kernel, n)
+    assert not verify_parallel(kernel, n).ok
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_column_proof_is_the_range_replay_on_random_kernels(data):
+    n = data.draw(st.sampled_from(SIZES) | st.integers(1, 70), label="n")
+    part = st.sampled_from(SCANS) | updates(n).map(oblivious) | runs(n).map(gather)
+    parts = data.draw(st.lists(part, min_size=1, max_size=3), label="parts")
+    assert columns_are_the_range_replay(functools.reduce(twice, parts), n)
+
+
+def row_loop(reads, writes, depths):
+    """The race check row by row: the first row to touch an index that an
+    earlier row of its stage touched conflicts with that row."""
+    seen, level = {}, None
+    for ordinal, (r, w, depth) in enumerate(zip(reads, writes, depths), start=1):
+        if depth != level:
+            seen, level = {}, depth
+        for idx in set(r) | {w}:
+            if idx in seen:
+                return RaceReport(False, (seen[idx], ordinal))
+            seen[idx] = ordinal
+    return RaceReport(True)
+
+
+@given(st.lists(st.tuples(st.lists(st.integers(1, 12), max_size=3).map(tuple),
+                          st.integers(1, 12), st.booleans())))
+@settings(max_examples=300, deadline=None)
+def test_staged_race_check_is_the_row_loop(rows):
+    reads = [r for r, _, _ in rows]
+    writes = [w for _, w, _ in rows]
+    depths = list(accumulate(new for _, _, new in rows))  # stages of consecutive rows
+    assert _race_check(reads, writes, depths) == row_loop(reads, writes, depths)
+
+
+def test_mutant_reports_match_the_golden():
+    for key, want in GRID["mutant_reports"].items():
+        name, n = key.rsplit("/", 1)
+        assert verify_parallel(MUTANTS[name], int(n)).to_json() == want, key
+
+
+def test_cli_verify_matches_the_golden(capsys):
+    for key, want in GRID["cli_verify"].items():
+        kernel, n, chunks = key.split("/")
+        code = main(["verify", "--kernel", kernel, "--n", n, "--chunks", chunks])
+        assert (capsys.readouterr().out, code) == (want["stdout"], want["exit"]), key
