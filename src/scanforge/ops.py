@@ -40,21 +40,45 @@ def check_associative(op: Callable, samples: Iterable[tuple]) -> AssocReport:
     return AssocReport(True)
 
 
-Matrix = tuple  # tuple of row tuples
+MAX_DIM = 16  # compile time and source length grow as dim**3
+
+_MATMUL_TEMPLATE = """\
+def combine(a, b):
+    try:
+        {a} = a
+        {b} = b
+    except (TypeError, ValueError) as e:
+        raise ValueError("{name} operands must be {dim}x{dim} matrices") from e
+    return {product}
+"""
+_MATMULS: dict[int, AssocOp] = {}  # dim -> operator, compiled on first use
 
 
 def matmul(dim: int) -> AssocOp:
-    """Dense square-matrix product over tuples of row tuples."""
+    """Dense square-matrix product over tuples of row tuples, dim in 1..MAX_DIM.
 
-    def combine(a: Matrix, b: Matrix) -> Matrix:
-        # Each entry sums its products in k order from 0, as the textbook
-        # sum(a[i][k] * b[k][j] for k in range(dim)) does.
-        cols = list(zip(*b))
-        return tuple([tuple([sum(map(operator.mul, row, col)) for col in cols])
-                      for row in a])
-
-    eye = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-    return AssocOp(f"matmul{dim}", combine, identity=eye)
+    One template serves every dim: both operands unpack into locals (a
+    wrongly shaped operand is a named ValueError) and each entry is written
+    out in k order from the int 0, `0 + a0_0 * b0_0 + a0_1 * b1_0`, the left
+    fold that sum(a[i][k] * b[k][j] for k in range(dim)) makes up to Python
+    3.11, so that 0 + -0.0 is 0.0 as there.
+    """
+    dim = operator.index(dim)
+    if not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"matmul dim must be in 1..{MAX_DIM}, got {dim}")
+    if dim in _MATMULS:
+        return _MATMULS[dim]
+    ks = range(dim)
+    tup = lambda items: "(" + "".join(f"{x}, " for x in items) + ")"
+    cells = lambda m: tup(tup(f"{m}{i}_{k}" for k in ks) for i in ks)
+    product = tup(tup(" + ".join(["0"] + [f"a{i}_{k} * b{k}_{j}" for k in ks])
+                      for j in ks) for i in ks)
+    name, ns = f"matmul{dim}", {}
+    source = _MATMUL_TEMPLATE.format(a=cells("a"), b=cells("b"), name=name,
+                                     dim=dim, product=product)
+    exec(compile(source, f"<{name}>", "exec"), ns)
+    eye = tuple(tuple(1 if i == j else 0 for j in ks) for i in ks)
+    return _MATMULS.setdefault(dim, AssocOp(name, ns["combine"], identity=eye))
 
 
 # --- The interval monoid, with which verify checks a kernel ---------------

@@ -57,6 +57,13 @@ def test_ops_imports_nothing_from_the_package():
     assert package_imports()["ops"] == set()
 
 
+def run_python(code: str):
+    """Run code in a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
 NO_NUMPY = """
 import sys
 import scanforge as sf
@@ -76,6 +83,11 @@ assert "numpy" not in sys.modules, "numpy was imported"
 def test_runs_and_proofs_do_not_import_numpy():
     # numpy's import alone costs about as much time and memory as a whole
     # compute run, so no value run or proof may pull it in.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    subprocess.run([sys.executable, "-c", NO_NUMPY], env=env, check=True, timeout=120)
+    run_python(NO_NUMPY)
+
+
+def test_import_compiles_no_matmul():
+    # matmul(dim) compiles its product on first use, so importing the
+    # package (and the CLI) adds nothing to set-up.
+    code = "import scanforge, scanforge.cli; assert scanforge.ops._MATMULS == {}"
+    run_python(code)
