@@ -14,6 +14,7 @@ virtual clock read the same plan.
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Callable, Iterable, Iterator, Optional
@@ -238,6 +239,25 @@ def _updates(plan: Plan) -> Iterator[tuple[int, int, int]]:
                        _progression(w, dw, count))
 
 
+def _walk(touches: Iterable[Iterable[int]], ncells: Optional[int] = None
+          ) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """The dependency rule: task k, counted from 1, depends on the last earlier
+    task to touch any of its cells. Yields each task's k, its deps in order and
+    its chain depth, the longest dependency chain that ends at it. A task
+    touches one cell or more, from range(ncells), or any ints if ncells is None."""
+    last = [0] * ncells if ncells is not None else defaultdict(int)  # 0: no task yet
+    chain = [0]  # the chain depth of each task
+    toucher, depth_of = last.__getitem__, chain.__getitem__
+    for k, cells in enumerate(touches, start=1):
+        deps = set(map(toucher, cells))
+        depth = 1 + max(map(depth_of, deps))
+        chain.append(depth)
+        deps.discard(0)
+        for c in cells:
+            last[c] = k
+        yield k, tuple(sorted(deps)), depth
+
+
 def _reads_before_writes(r: int, dr: int, w: int, dw: int, count: int) -> bool:
     """No read r + k*dr (dr >= 0, dw > 0) is a cell w + j*dw, j < k, that an
     earlier update of the segment wrote: every read lies below or above every
@@ -337,9 +357,10 @@ BRENT_KUNG = ScanKernel("brent-kung", scan_brent_kung)
 BRENT_KUNG_8 = ScanKernel("brent-kung-8", scan_brent_kung_8, fixed_length=8)
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+@functools.cache
 def scan_then_fan_kernel(chunks: int) -> ScanKernel:
-    """One kernel object per chunk count, so its cached plans are found again."""
+    """One kernel object per chunk count, kept for good, so its cached plans
+    are found again and get_kernel returns the same object every time."""
     return ScanKernel(
         f"scan-then-fan[{chunks}]",
         lambda store, op, c=chunks: scan_then_fan(store, op, c),

@@ -26,16 +26,17 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from queue import SimpleQueue
 from typing import Any, Callable, Iterable, Sequence
 
 from .kernels import (_PLAN_CACHE_SIZE, Plan, ScanKernel, _kernel_plan, _passes, _replay,
-                      _run_pass, _segments, _updates)
+                      _run_pass, _segments, _updates, _walk)
 from .ops import AssocOp
 
 WORKERS_ENV = "SCANFORGE_WORKERS"
@@ -181,35 +182,21 @@ class TaskNode:
     deps: tuple[int, ...]
 
 
-class CycleError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True, slots=True)
 class TaskGraph:
-    """Tasks in plan order and their depth: the longest dependency chain,
-    in tasks. A task may depend only on earlier tasks (else CycleError)."""
+    """Tasks in plan order and their depth: the longest dependency chain, in
+    tasks, from the walk that found the dependencies."""
 
-    nodes: tuple[TaskNode, ...] = ()
-    depth: int = field(init=False)
-
-    def __post_init__(self):
-        nodes = tuple(self.nodes)
-        chain: dict[int, int] = {}  # longest chain ending at each task
-        for node in nodes:
-            for d in node.deps:
-                if d >= node.ordinal:
-                    raise CycleError(f"task {node.ordinal} depends on non-earlier task {d}")
-            chain[node.ordinal] = 1 + max((chain[d] for d in node.deps), default=0)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "depth", max(chain.values(), default=0))
+    nodes: tuple[TaskNode, ...]
+    depth: int
 
     def __len__(self) -> int:
         return len(self.nodes)
 
 
 def critical_path(graph: TaskGraph, op_cost: int = 1) -> int:
-    """Longest dependency chain, in operator applications times op_cost."""
+    """Longest dependency chain in ticks: op_cost whole ticks (an int >= 0) per task."""
+    op_cost = operator.index(op_cost)
     if op_cost < 0:
         raise ValueError(f"op_cost must be >= 0 ticks, got {op_cost}")
     return graph.depth * op_cost
@@ -246,31 +233,34 @@ class VirtualRun:
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _schedule(plan: Plan, n: int, workers: int) -> TaskGraph:
-    """The plan's task graph on FIFO workers: the one statement of the
-    dependency rule. Cached on the plan's value, so equal plans share one
-    immutable graph.
+    """The plan's task graph on FIFO workers. Cached on the plan's value, so
+    equal plans share one immutable graph.
 
     Each worker owns one block of the cells: cell i is owned by worker
     (i-1) // ceil(n/workers) + 1 until an update writes it. Update k is task
     k, on the owner of its right read, and its write moves the cell to that
-    worker. Task k depends on the last task to touch each of its cells and on
-    its worker's previous task.
+    worker. Worker o counts as one more cell, n + o - 1, that each of its
+    tasks touches, so the walk's one rule (the last task to touch any of its
+    cells) also makes task k wait for its worker's previous task.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     size = -(-n // workers)
     owner = [i // size + 1 for i in range(n)]
-    toucher = [0] * n  # last task to touch each cell
-    last_on: dict[int, int] = {}  # last task of each worker
-    nodes: list[TaskNode] = []
-    for k, (a, b, w) in enumerate(_updates(plan), start=1):
-        o = owner[b]
-        deps = {toucher[a], toucher[b], toucher[w], last_on.get(o, 0)}
-        deps.discard(0)
-        nodes.append(TaskNode(k, o, tuple(sorted(deps))))
-        toucher[a] = toucher[b] = toucher[w] = last_on[o] = k
-        owner[w] = o
-    return TaskGraph(nodes)
+    owners: list[int] = []  # the worker of each task
+
+    def touches():
+        for a, b, w in _updates(plan):
+            owner[w] = o = owner[b]
+            owners.append(o)
+            yield a, b, w, n + o - 1
+
+    nodes, depth = [], 0
+    for k, deps, chain in _walk(touches(), n + workers):
+        nodes.append(TaskNode(k, owners[k - 1], deps))
+        if chain > depth:
+            depth = chain
+    return TaskGraph(tuple(nodes), depth)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -311,7 +301,7 @@ def run_virtual(
     Values come from replaying the kernel's plan on a copy of values. The
     task graph is the plan's cached schedule: the threaded run's per-cell
     access-order dependencies plus per-worker FIFO order. Every operator
-    application costs op_cost ticks, so ticks are its critical_path.
+    application costs op_cost whole ticks, so ticks are its critical_path.
     """
     n = len(values)
     plan = _kernel_plan(kernel, n)
@@ -388,8 +378,8 @@ def bench(
         if virtual:
             cost = max(1, int(op_cost))
             # ticks are exact: one schedule per kernel, whatever trials is
-            t_s = _schedule(_kernel_plan(serial_kernel, p), p, workers).depth * cost
-            t_p = _schedule(_kernel_plan(parallel_kernel, p), p, workers).depth * cost
+            t_s = critical_path(_schedule(_kernel_plan(serial_kernel, p), p, workers), cost)
+            t_p = critical_path(_schedule(_kernel_plan(parallel_kernel, p), p, workers), cost)
         else:
             values = list(range(1, p + 1))
             op = _delayed_add(op_cost)

@@ -22,7 +22,7 @@ from itertools import accumulate, chain
 from operator import le
 from typing import Callable, Iterable
 
-from .kernels import Plan, ScanKernel, _kernel_plan, _progression
+from .kernels import Plan, ScanKernel, _kernel_plan, _progression, _walk
 
 
 @dataclass(frozen=True)
@@ -100,24 +100,11 @@ def max_depth(history: Iterable[Transaction]) -> int:
 
 
 def dag_depths(history: Iterable[Transaction]) -> list[tuple[Transaction, int]]:
-    """Depth of each transaction as the longest path in the access-order DAG.
-
-    Each transaction depends on the most recent earlier transaction that
-    touched (read or wrote) any of its indices; this is the dependency
-    granule the parallel executor honors.
-    """
-    last: dict[int, int] = {}
-    depths: list[int] = []
-    out = []
-    for ordinal, t in enumerate(history):
-        cells = set(t.reads) | {t.write}
-        deps = [last[c] for c in cells if c in last]
-        d = 1 + max((depths[j] for j in deps), default=0)
-        depths.append(d)
-        out.append((t, d))
-        for c in cells:
-            last[c] = ordinal
-    return out
+    """Depth of each transaction as the longest path in the access-order DAG:
+    the schedule's dependency rule (kernels._walk) on its reads and write."""
+    history = list(history)
+    walk = _walk((*t.reads, t.write) for t in history)
+    return [(t, depth) for t, (_, _, depth) in zip(history, walk)]
 
 
 def _json_rows(reads: Iterable[str], writes: Iterable[int], depths: Iterable[int]) -> str:

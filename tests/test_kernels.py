@@ -155,6 +155,15 @@ def test_left_operand_rule_all_kernels():
             assert t.reads[0] < t.reads[1]
 
 
+def test_get_kernel_returns_one_object_per_chunk_count():
+    # The kernels were an lru_cache of 64: after 64 other chunk counts
+    # get_kernel gave a new object, which recorded its plans again.
+    first = get_kernel("scan-then-fan", 1)
+    others = [get_kernel("scan-then-fan", c) for c in range(2, 67)]
+    assert get_kernel("scan-then-fan", 1) is first
+    assert [get_kernel("scan-then-fan", c) for c in range(2, 67)] == others
+
+
 def test_get_kernel_unknown():
     with pytest.raises(KeyError):
         get_kernel("kogge-stone")

@@ -29,9 +29,7 @@ from scanforge.runtime import (
     MAX_N,
     MAX_WORKERS,
     Cluster,
-    CycleError,
     TaskGraph,
-    TaskNode,
     bench,
     bench_csv,
     build_task_graph,
@@ -228,6 +226,16 @@ def test_virtual_op_cost_counts_whole_ticks():
         critical_path(build_task_graph(BRENT_KUNG, 4, 2), -3)
 
 
+@pytest.mark.parametrize("cost, error", [
+    (float("nan"), TypeError), (float("inf"), TypeError), (1.5, TypeError), (-1, ValueError),
+], ids=["nan", "inf", "1.5", "-1"])
+def test_virtual_op_cost_is_a_whole_tick_count(cost, error):
+    # nan, inf and 1.5 used to give nan, inf and 3.0 ticks.
+    with pytest.raises(error):
+        run_virtual(SERIAL, [1, 2, 3], add, 2, op_cost=cost)
+    assert run_virtual(SERIAL, [1, 2, 3], add, 2, op_cost=3).ticks == 6
+
+
 def test_bench_refuses_an_op_cost_sleep_cannot_take():
     # time.sleep(TIMEOUT_MAX) fails on Linux: its deadline, now + TIMEOUT_MAX on
     # the monotonic clock, is past the clock's range.
@@ -313,9 +321,13 @@ def test_critical_path_examples():
     assert critical_path(build_task_graph(SERIAL, 8), 3) == 21
 
 
-def test_critical_path_rejects_cycles():
-    with pytest.raises(CycleError):
-        TaskGraph([TaskNode(1, 1, deps=(1,))])
+def test_task_graph_takes_its_depth_from_the_walk():
+    # A graph no longer walks its nodes again for a depth (or a cycle): the
+    # schedule's walk finds both, and a graph without a depth is refused.
+    graph = build_task_graph(BRENT_KUNG, 8)
+    with pytest.raises(TypeError):
+        TaskGraph(graph.nodes)
+    assert TaskGraph(graph.nodes, graph.depth) == graph
 
 
 def test_speedup_model_values():

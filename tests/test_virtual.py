@@ -41,6 +41,7 @@ def test_run_virtual_equals_the_simulator(name, n, chunks, op_cost, data):
     assert got.results == want.results
     assert got.ticks == want.ticks
     assert got.graph.nodes == want.graph.nodes
+    assert got.graph.depth == want.graph.depth
     assert got.ticks == critical_path(got.graph, op_cost)
 
 

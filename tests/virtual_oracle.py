@@ -1,7 +1,8 @@
 """Reference for run_virtual: the simulator it replaced, kept verbatim but
-for two deletions. Its value ids are gone, and so is the dependency on the
-producer of the overwritten value, which the last toucher of that cell
-already implies.
+for two deletions and one addition. Its value ids are gone, and so is the
+dependency on the producer of the overwritten value, which the last toucher
+of that cell already implies. It now finds its graph's depth itself, since
+a TaskGraph is given its depth.
 
 It drives the kernel's own get/put stream through closures over
 future-like cells and wires each task's dependencies as the put arrives.
@@ -90,4 +91,8 @@ def run_virtual(
         return out
 
     kernel(_VStore(), lifted)
-    return VirtualRun([c.value for c in cells], state["ticks"], TaskGraph(nodes))
+    chain = {0: 0}  # longest chain ending at each task
+    for node in nodes:
+        chain[node.ordinal] = 1 + max(chain[d] for d in (0,) + node.deps)
+    graph = TaskGraph(tuple(nodes), max(chain.values()))
+    return VirtualRun([c.value for c in cells], state["ticks"], graph)
