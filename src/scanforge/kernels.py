@@ -302,32 +302,33 @@ def _passes(plan: Plan) -> Iterator[tuple]:
 
 def _run_pass(data: list, f: Callable, out: list, path: str, a: int, b: int, w: int,
               da: int, db: int, dw: int, count: int) -> None:
-    """A chain or alias-free pass, its results collected in out and written
-    to data. If the operator raises, out holds the results before it (after a
-    chain's first cell), and those are written: the run can go on from there."""
-    start = a if path == "chain" else w  # the cell of out[0]
+    """Run one pass of _passes on data, making the per-update loop's calls in
+    its order; out collects the pass's results, one per call that finished.
+    If a call raises, data holds what the loop wrote before that call."""
+    if path == "loop":
+        for j, k, i in _updates(((a, b, w, da, db, dw, count),)):
+            data[i] = v = f(data[j], data[k])
+            out.append(v)
+        return
     try:
         if path == "chain":
-            out.extend(accumulate(data[a:w + count], f))
+            chain = accumulate(data[a:w + count], f)
+            next(chain)  # the chain's first cell, which no call writes
+            out.extend(chain)
         else:
             out.extend(map(f, _cells(data, a, da, count), _cells(data, b, db, count)))
     finally:
-        data[start:start + dw * len(out):dw] = out
+        data[w:w + dw * len(out):dw] = out
 
 
 def _replay(plan: Plan, data: list, op: Callable) -> None:
-    """Run the plan on data, making the operator calls of the per-update loop
-    in the same order. A chain or alias-free segment runs as _run_pass passes
-    of up to _PASS updates each. If a call raises, data holds what the
-    per-update loop would have written before that call."""
+    """Run the plan on data as _run_pass passes, making the operator calls of
+    the per-update loop in the same order. If a call raises, data holds what
+    the per-update loop would have written before that call."""
     # AssocOp.__call__ only forwards to fn; skipping it saves a frame per update.
     f = op.fn if type(op) is AssocOp else op
-    for path, a, b, w, da, db, dw, count in _passes(plan):
-        if path != "loop":
-            _run_pass(data, f, [], path, a, b, w, da, db, dw, count)
-            continue
-        for j, k, i in _updates(((a, b, w, da, db, dw, count),)):
-            data[i] = f(data[j], data[k])
+    for pass_ in _passes(plan):
+        _run_pass(data, f, [], *pass_)
 
 
 @dataclass(frozen=True, eq=False)

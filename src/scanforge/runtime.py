@@ -1,20 +1,15 @@
 """Task-parallel execution of scan kernels from the plan's schedule.
 
 A scan kernel is oblivious, so its checked plan fixes the whole task graph
-before any value exists. `run_parallel` takes the plan's cached schedule
-(the same one the virtual clock reads) and interprets it on worker threads.
-Each worker owns one contiguous block of the cells, and each update is one
-task on the owner of its right operand. The schedule orders every access to
-a cell in plan order, so the values stay in place in the n cells. Each
-worker runs its own tasks in plan order, in steps: a step waits on the locks
-of the tasks it needs from other workers, runs its updates as the C-level
-passes of the plan's replay, and releases its lock if another worker waits
-for it; tasks on one worker hold by order. The scheduler is
-stage-synchronous at the granularity of per-cell access order — a task runs
-only after every earlier task that touched any of its cells — which makes
-the makespan equal the critical path of the task graph and the measured
-speedup follow the (p-1) / tree-depth model. A kernel that breaks the store
-contract raises `ContractError` before any thread starts.
+before any value exists. `run_parallel` interprets the plan's cached
+schedule (the one the virtual clock reads) on worker threads. Each worker
+owns one contiguous block of the cells and runs, in place and in plan
+order, the updates whose right operand it owns, as the C-level passes of
+the plan's replay. A task runs only after every earlier task that touched
+any of its cells, so the makespan is the task graph's critical path, the
+speedup follows the (p-1) / tree-depth model, and a failed operator call
+raises what the replay raises. A kernel that breaks the store contract
+raises `ContractError` before any thread starts.
 
 Workers are in-process threads, not OS processes; the wait on a
 dependency, not the transport, is what matters here. At most MAX_WORKERS
@@ -61,19 +56,24 @@ class _Worker:
             job()
 
 
-def _check_workers(workers: int) -> None:
+def _check_workers(workers: int, threads: bool = True) -> int:
+    """workers as an int >= 1, and at most MAX_WORKERS if they are threads."""
+    try:
+        workers = operator.index(workers)
+    except TypeError:
+        raise TypeError(f"workers must be an int, got {workers!r}") from None
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if workers > MAX_WORKERS:
+    if threads and workers > MAX_WORKERS:
         raise ValueError(f"workers must be <= MAX_WORKERS ({MAX_WORKERS}), got {workers}")
+    return workers
 
 
 class Cluster:
     """A pool of FIFO worker threads, numbered from 1, that run jobs."""
 
     def __init__(self, workers: int):
-        _check_workers(workers)
-        self.workers = [_Worker() for _ in range(workers)]
+        self.workers = [_Worker() for _ in range(_check_workers(workers))]
 
     def submit(self, worker: int, job: Callable[[], None]) -> None:
         self.workers[worker - 1].queue.put(job)
@@ -97,8 +97,7 @@ def run_parallel(
     op: Callable,
     workers: int,
 ) -> list:
-    results, _ = run_parallel_detailed(kernel, values, op, workers)
-    return results
+    return run_parallel_detailed(kernel, values, op, workers)[0]
 
 
 def run_parallel_detailed(
@@ -111,65 +110,60 @@ def run_parallel_detailed(
 
     The graph is the plan's cached schedule, the one `run_virtual` and
     `build_task_graph` read; the workers run the steps `_programs` cuts from
-    it. An operator's error poisons its cell; the lowest poisoned cell's is raised.
+    it. A call runs only once every task it depends on has run, so it gets
+    the serial run's operands. If calls fail, the one first in plan order
+    is raised: the error that the plan's replay raises.
     """
-    _check_workers(workers)
+    workers = _check_workers(workers)
     n = len(values)
     plan = _kernel_plan(kernel, n)
     graph = _schedule(plan, n, workers)
     programs, locks = _programs(plan, n, workers)
     data = list(values)
-    errors: dict[int, BaseException] = {}  # poisoned cell -> its error
-    done = [threading.Lock() for _ in range(locks)]  # held until its task has run
+    done = [threading.Lock() for _ in range(locks)]  # held until its task has run or been skipped
     for lock in done:
         lock.acquire()
+    skipped = [False] * locks  # set before the release of a lock whose task never ran
+    failures: list = []  # (worker, position in its program, error) of each failed call
     f = op.fn if type(op) is AssocOp else op
-    with Cluster(workers) as cluster:  # shutdown() returns once every task ran
+    with Cluster(workers) as cluster:  # shutdown() returns once every program has ended
         for worker, steps in enumerate(programs, start=1):
-            cluster.submit(worker, functools.partial(_run_steps, steps, data, errors, done, f))
-    if errors:
-        error, errors = errors[min(errors)], None  # the traceback holds this frame: no cycle
-        try:
-            raise error
-        finally:
-            error = None
+            cluster.submit(worker, functools.partial(_run_steps, steps, data, done, skipped,
+                                                     failures, worker, f))
+    if failures:
+        tasks: list[list[int]] = [[] for _ in range(workers + 1)]  # each worker's, in order
+        for node in graph.nodes:
+            tasks[node.owner].append(node.ordinal)
+        failures.sort(key=lambda failure: tasks[failure[0]][failure[1]])
+        raise failures.pop(0)[2]  # not kept in this frame, which its traceback holds
     return data, graph
 
 
-def _run_steps(steps: tuple, data: list, errors: dict, done: list, f: Callable) -> None:
-    """One worker's program on the cells in place. Until a cell is poisoned,
-    a chain or alias-free pass is one _run_pass; a loop pass, and every pass
-    after that, runs the per-update loop, which passes a poisoned input's
-    error on unraised and clears a cell that gets a good value."""
+def _run_steps(steps: tuple, data: list, done: list, skipped: list, failures: list,
+               worker: int, f: Callable) -> None:
+    """One worker's program on the cells in place: each step waits on its
+    locks, runs its passes through _run_pass and releases its lock. The worker
+    stops at its first failed call, which it records, or at a wait on a task
+    that never ran; after that it makes no calls, but still releases its
+    locks, marked skipped, so that no wait lasts for ever."""
+    calls, stopped = 0, False  # calls: the position in the program of the next update
     for waits, passes, release in steps:
-        for lock in waits:
-            done[lock].acquire()
-            done[lock].release()
-        for path, a, b, w, da, db, dw, count in passes:
-            ran = 0  # updates of the pass already done
-            if path != "loop" and not errors:
-                out: list = []
-                try:
-                    _run_pass(data, f, out, path, a, b, w, da, db, dw, count)
-                    continue
-                except BaseException as exc:  # poison, do not kill the worker
-                    ran = len(out) - (path == "chain")
-                    errors[w + dw * ran] = exc
-                    ran += 1
-            rest = (a + da * ran, b + db * ran, w + dw * ran, da, db, dw, count - ran)
-            for j, k, i in _updates((rest,)):
-                if errors and (j in errors or k in errors):
-                    errors[i] = errors[j] if j in errors else errors[k]
-                    continue
-                try:
-                    data[i] = f(data[j], data[k])
-                except BaseException as exc:
-                    errors[i] = exc
-                else:
-                    errors.pop(i, None)
+        for lock in () if stopped else waits:
+            with done[lock]:
+                stopped |= skipped[lock]
+        for pass_ in () if stopped else passes:
+            out: list = []
+            try:
+                _run_pass(data, f, out, *pass_)
+            except BaseException as exc:  # the caller raises the first in plan order
+                failures.append((worker, calls + len(out), exc))
+                stopped = True
+                break
+            calls += len(out)
         if release is not None:
+            skipped[release] = stopped
             done[release].release()
-    errors = None  # a failed call's traceback holds this frame: no cycle through it
+    failures = None  # a failed call's traceback holds this frame: no cycle through it
 
 
 # --- Task graphs and the speedup model -----------------------------------
@@ -194,12 +188,17 @@ class TaskGraph:
         return len(self.nodes)
 
 
-def critical_path(graph: TaskGraph, op_cost: int = 1) -> int:
-    """Longest dependency chain in ticks: op_cost whole ticks (an int >= 0) per task."""
+def _ticks(op_cost: int) -> int:
+    """op_cost as whole ticks: an int >= 0."""
     op_cost = operator.index(op_cost)
     if op_cost < 0:
         raise ValueError(f"op_cost must be >= 0 ticks, got {op_cost}")
-    return graph.depth * op_cost
+    return op_cost
+
+
+def critical_path(graph: TaskGraph, op_cost: int = 1) -> int:
+    """Longest dependency chain in ticks: op_cost whole ticks (an int >= 0) per task."""
+    return graph.depth * _ticks(op_cost)
 
 
 def _floor_log2(p: int) -> int:
@@ -243,8 +242,6 @@ def _schedule(plan: Plan, n: int, workers: int) -> TaskGraph:
     tasks touches, so the walk's one rule (the last task to touch any of its
     cells) also makes task k wait for its worker's previous task.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     size = -(-n // workers)
     owner = [i // size + 1 for i in range(n)]
     owners: list[int] = []  # the worker of each task
@@ -256,7 +253,7 @@ def _schedule(plan: Plan, n: int, workers: int) -> TaskGraph:
             yield a, b, w, n + o - 1
 
     nodes, depth = [], 0
-    for k, deps, chain in _walk(touches(), n + workers):
+    for k, deps, chain in _walk(touches(), n + min(n, workers)):
         nodes.append(TaskNode(k, owners[k - 1], deps))
         if chain > depth:
             depth = chain
@@ -303,6 +300,7 @@ def run_virtual(
     access-order dependencies plus per-worker FIFO order. Every operator
     application costs op_cost whole ticks, so ticks are its critical_path.
     """
+    op_cost, workers = _ticks(op_cost), _check_workers(workers, threads=False)
     n = len(values)
     plan = _kernel_plan(kernel, n)
     graph = _schedule(plan, n, workers)
@@ -313,7 +311,8 @@ def run_virtual(
 
 def build_task_graph(kernel: ScanKernel | Callable, n: int, workers: int = 0) -> TaskGraph:
     """Task graph of one kernel run at size n (workers defaults to n)."""
-    return _schedule(_kernel_plan(kernel, n), n, workers or max(n, 1))
+    workers = _check_workers(workers or max(n, 1), threads=False)
+    return _schedule(_kernel_plan(kernel, n), n, workers)
 
 
 # --- Benchmark harness -----------------------------------------------------
@@ -370,8 +369,7 @@ def bench(
     for p in ps:  # refuse an over-cap row before any row records or starts threads
         if p > MAX_N:
             raise ValueError(f"p must be <= MAX_N ({MAX_N}), got {p}")
-        if not virtual:
-            _check_workers(worker_count(p))
+        _check_workers(worker_count(p), threads=not virtual)
     rows = []
     for p in ps:
         workers = worker_count(p)

@@ -22,6 +22,7 @@ from scanforge.kernels import (
     _plan,
     _record,
     _replay,
+    _run_pass,
     _segment_path,
     _updates,
     chunk_schedule,
@@ -339,3 +340,28 @@ def test_operator_error_propagates_from_replay(kernel, fail_at):
     for (j, k, i), _ in zip(_updates(_plan(kernel, n)), range(fail_at - 1)):
         want[i] = want[j] + want[k]
     assert store.to_list() == want
+
+
+@pytest.mark.parametrize("label", list(SEGMENTS))
+def test_a_failed_pass_holds_the_loop_s_writes_and_counts_its_calls(label):
+    # One runner for all three paths: if the operator raises, data holds what
+    # the per-update loop wrote before the failing call, and out one result
+    # per call that finished.
+    segment, path = SEGMENTS[label]
+    for fail_at in range(1, segment[-1] + 2):  # the last: no call fails
+        data, out, calls = list(range(40)), [], []
+
+        def failing(x, y):
+            calls.append(None)
+            if len(calls) == fail_at:
+                raise Raised()
+            return x + y
+
+        try:
+            _run_pass(data, failing, out, path, *segment)
+        except Raised:
+            pass
+        want = list(range(40))
+        for (j, k, i), _ in zip(_updates((segment,)), range(fail_at - 1)):
+            want[i] = want[j] + want[k]
+        assert (data, len(out)) == (want, min(fail_at - 1, segment[-1]))

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import traceback
+import tracemalloc
 import types
 from fractions import Fraction
 from itertools import accumulate
@@ -46,7 +47,7 @@ def add(a, b):
     return a + b
 
 
-def test_poisoned_future_reports_error():
+def test_a_failed_call_reaches_the_caller():
     def boom(a, b):
         raise ZeroDivisionError("bad op")
 
@@ -151,15 +152,15 @@ def test_a_run_makes_one_lock_per_task_another_worker_waits_for(monkeypatch):
 
 def test_run_parallel_propagates_operator_errors():
     def boom(a, b):
-        raise ValueError("poisoned")
+        raise ValueError("failed")
 
     with pytest.raises(ValueError):
         run_parallel(BRENT_KUNG, list(range(1, 9)), boom, 4)
 
 
-def test_failed_run_raises_error_of_lowest_failed_cell():
-    # Cell 4's update fails on worker 2 after cell 6's has failed on worker 3;
-    # the error that reaches cell 4 (and, through it, every later cell) wins.
+def test_failed_run_raises_the_error_of_the_first_failed_task():
+    # Cell 4's update, task 2 on worker 2, fails after cell 6's, task 3 on
+    # worker 3, has failed: the failure first in plan order wins.
     def op(a, b):
         if (a, b) == (3, 4):
             time.sleep(0.002)
@@ -236,6 +237,49 @@ def test_virtual_op_cost_is_a_whole_tick_count(cost, error):
     assert run_virtual(SERIAL, [1, 2, 3], add, 2, op_cost=3).ticks == 6
 
 
+@pytest.mark.parametrize("cost, error", [
+    (1.5, TypeError), (float("nan"), TypeError), (-1, ValueError),
+], ids=["1.5", "nan", "-1"])
+def test_virtual_op_cost_is_refused_before_any_work(monkeypatch, cost, error):
+    # The cost used to be checked only after the plan was recorded and its
+    # schedule built: 1.5 s at n = MAX_N before the TypeError.
+    def not_reached(*args):
+        raise AssertionError("work done before the op_cost check")
+
+    monkeypatch.setattr(runtime, "_kernel_plan", not_reached)
+    monkeypatch.setattr(runtime, "_schedule", not_reached)
+    with pytest.raises(error):
+        run_virtual(SERIAL, [0] * MAX_N, add, 8, op_cost=cost)
+
+
+def test_virtual_schedule_memory_is_bounded_by_n_not_by_workers():
+    # The walk used to hold one cell per worker: 80 MB for 3 values on 10**7.
+    want = build_task_graph(BRENT_KUNG, 3, 3)
+    run_virtual(BRENT_KUNG, [1, 2, 3], add, 3)
+    tracemalloc.start()
+    try:
+        run = run_virtual(BRENT_KUNG, [1, 2, 3], add, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (run.graph.nodes, run.graph.depth) == (want.nodes, want.depth)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda workers: run_parallel(SERIAL, [1, 2, 3], add, workers),
+    lambda workers: run_virtual(SERIAL, [1, 2, 3], add, workers),
+    lambda workers: build_task_graph(SERIAL, 3, workers),
+], ids=["run_parallel", "run_virtual", "build_task_graph"])
+def test_a_worker_count_must_be_an_int(entry):
+    # 2.5 used to fail inside the walk: "can't multiply sequence by non-int".
+    before = threading.active_count()
+    with pytest.raises(TypeError, match="workers must be an int, got 2.5"):
+        entry(2.5)
+    assert threading.active_count() == before
+    assert entry(2) is not None
+
+
 def test_bench_refuses_an_op_cost_sleep_cannot_take():
     # time.sleep(TIMEOUT_MAX) fails on Linux: its deadline, now + TIMEOUT_MAX on
     # the monotonic clock, is past the clock's range.
@@ -273,9 +317,9 @@ def failed_run_traceback_length(kernel, n):
 
 
 def test_failed_run_leaves_no_cyclic_garbage():
-    # Every task downstream of the failed call fails with the same error.
-    # Raising it again in each task would grow its traceback with the chain,
-    # and a traceback frame that holds a future holding the error is a cycle.
+    # The failed call's error is raised once, in the caller: its traceback
+    # does not grow with the tasks after the failure, and no frame on it
+    # holds the error (a worker's record of it, say), which would be a cycle.
     assert failed_run_traceback_length(SERIAL, 20) == \
         failed_run_traceback_length(SERIAL, 2000)
     gc.collect()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mutants
-from test_poisoning import any_updates, oblivious
+from test_failures import any_updates, oblivious
 from scanforge.kernels import (BRENT_KUNG, KERNEL_NAMES, SERIAL, _kernel_plan, _updates,
                                get_kernel, scan_then_fan_kernel)
 from scanforge.runtime import (WORKERS_ENV, _programs, _schedule, bench, build_task_graph,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import mutants
 import walk_oracle
-from test_poisoning import any_updates, oblivious
+from test_failures import any_updates, oblivious
 from scanforge.kernels import KERNEL_NAMES, _kernel_plan, get_kernel
 from scanforge.runtime import _schedule
 from scanforge.tracing import Transaction, dag_depths
