@@ -1,10 +1,14 @@
 """Circuit-style SVG diagrams of scan traces.
 
-Each recorded transaction becomes a gate: small circles on the processor
-lines it reads, a large circle on the line it writes, and connecting
-edges, stacked top-down by stage depth. Output is plain SVG 1.1 with
-fixed 4-decimal coordinate formatting so identical traces yield
+Each recorded transaction becomes a gate: small circles on the two
+processor lines it reads, a large circle on the line it writes, and
+connecting edges, stacked top-down by stage depth. Output is plain SVG 1.1
+with fixed 4-decimal coordinate formatting so identical traces yield
 byte-identical files.
+
+One writer, _svg, draws every diagram from the trace columns (first reads,
+second reads, writes, depths): svg_string from a Diagram's gates, and the
+CLI's render --kernel from the plan's columns.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ class Diagram:
 
 def layout(history: Iterable[Transaction], n: int) -> Diagram:
     """Place one gate per transaction at its inferred stage depth."""
-    reads, writes, depths = _history_rows(history)
-    gates = list(map(Gate, reads, zip(writes), depths))
+    firsts, seconds, writes, depths = _history_rows(history)
+    gates = list(map(Gate, zip(firsts, seconds), zip(writes), depths))
     return Diagram(width=n, max_depth=depths[-1] if depths else 0, gates=gates)
 
 
@@ -60,37 +64,38 @@ def svg_string(d: Diagram, viewport: tuple[int, int] = (600, 400)) -> str:
     """Render the diagram into an SVG document string.
 
     The unit box (0.5, 0, width, max_depth+1) is mapped affinely onto the
-    pixel viewport; the depth axis points downward.
+    pixel viewport; the depth axis points downward. A gate that does not
+    read two of the lines 1..width and write one is a ValueError.
     """
-    return _svg(d.width, d.max_depth, [g.ins for g in d.gates],
-                [g.outs for g in d.gates], [g.depth for g in d.gates], viewport)
+    lines = frozenset(range(1, d.width + 1))
+    for k, g in enumerate(d.gates, start=1):
+        if len(g.ins) != 2 or len(g.outs) != 1 or not lines.issuperset((*g.ins, *g.outs)):
+            raise ValueError(f"gate {k} reads {g.ins} and writes {g.outs}: a gate "
+                             f"reads two of the lines 1..{d.width} and writes one")
+    return _svg(d.width, d.max_depth, [g.ins[0] for g in d.gates],
+                [g.ins[1] for g in d.gates], [g.outs[0] for g in d.gates],
+                [g.depth for g in d.gates], viewport)
 
 
 def _plan_svg(kernel: ScanKernel | Callable, n: int, viewport: tuple[int, int]) -> str:
     """svg_string(layout(run_traced(kernel, n), n), viewport), read from the
     plan's columns."""
     firsts, seconds, writes, depths = _plan_rows(_kernel_plan(kernel, n))
-    return _svg(n, depths[-1] if depths else 0, list(zip(firsts, seconds)),
-                list(zip(writes)), depths, viewport)
+    return _svg(n, depths[-1] if depths else 0, firsts, seconds, writes, depths, viewport)
 
 
-def _svg(width: int, max_depth: int, ins: Sequence[tuple[int, ...]],
-         outs: Sequence[tuple[int, ...]], depths: Sequence[int],
-         viewport: tuple[int, int]) -> str:
-    """The SVG of the gates (ins[k], outs[k], depths[k]) on width lines."""
+def _svg(width: int, max_depth: int, firsts: Sequence[int], seconds: Sequence[int],
+         writes: Sequence[int], depths: Sequence[int], viewport: tuple[int, int]) -> str:
+    """The SVG of the gates that read lines firsts[k] and seconds[k] and write
+    line writes[k] at depth depths[k], on the lines 1..width."""
     w_px, h_px = viewport
     units_x = max(width, 1)
     units_y = max_depth + 1
     sx = w_px / units_x
     sy = h_px / units_y
     # Each coordinate is formatted once (as _f does, inline to save a call
-    # each): x per line index, y per gate depth. Line indices index a list
-    # when they all lie on the diagram's lines.
-    cells = list(chain(chain.from_iterable(ins), chain.from_iterable(outs)))
-    if not cells or (min(cells) >= 1 and max(cells) <= width):
-        xs = [f"{(i - 0.5) * sx:.4f}" for i in range(width + 1)]
-    else:
-        xs = {i: f"{(i - 0.5) * sx:.4f}" for i in set(range(1, width + 1)).union(cells)}
+    # each): x per line, y per gate depth.
+    xs = [f"{(i - 0.5) * sx:.4f}" for i in range(width + 1)]
     levels = set(depths)
     ys_in = {k: f"{(k - 1 + R_IN) * sy:.4f}" for k in levels}
     ys_out = {k: f"{(k - 1 + 0.5) * sy:.4f}" for k in levels}
@@ -116,28 +121,15 @@ def _svg(width: int, max_depth: int, ins: Sequence[tuple[int, ...]],
                  f'fill="white" stroke="black" stroke-width="{edge_w}"/>')
     circle_out = (f'<circle class="out" cx="%s" cy="%s" r="{_f(R_OUT * sx)}" '
                   f'fill="white" stroke="black" stroke-width="{edge_w}"/>')
-    if set(map(len, ins)) == {2} and set(map(len, outs)) == {1}:
-        # Every gate reads two lines and writes one, as every plan's gate
-        # does: the five lines of a gate are one template, filled at C level
-        # by interleaving its constant pieces with the coordinate columns.
-        x_in = list(map(xs.__getitem__, chain.from_iterable(ins)))
-        xa, xb = x_in[0::2], x_in[1::2]
-        xw = list(map(xs.__getitem__, chain.from_iterable(outs)))
-        iy = list(map(ys_in.__getitem__, depths))
-        oy = list(map(ys_out.__getitem__, depths))
-        pieces = "\n".join((edge, edge, circle_in, circle_in, circle_out)).split("%s")
-        columns = [chain(pieces[:1], repeat("\n" + pieces[0]))]
-        for piece, column in zip(pieces[1:], (xa, iy, xw, oy, xb, iy, xw, oy,
-                                              xa, iy, xb, iy, xw, oy)):
-            columns += (column, repeat(piece))
-        lines.append("".join(chain.from_iterable(zip(*columns))))
-    else:
-        for g_ins, g_outs, depth in zip(ins, outs, depths):
-            iy, oy = ys_in[depth], ys_out[depth]
-            ixs = [xs[i] for i in g_ins]
-            oxs = [xs[o] for o in g_outs]
-            lines += [edge % (ix, iy, ox, oy) for ix in ixs for ox in oxs]
-            lines += [circle_in % (ix, iy) for ix in ixs]
-            lines += [circle_out % (ox, oy) for ox in oxs]
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    # The five lines of a gate are one template, filled at C level by
+    # interleaving its constant pieces with the coordinate columns.
+    xa, xb, xw = (list(map(xs.__getitem__, column)) for column in (firsts, seconds, writes))
+    iy = list(map(ys_in.__getitem__, depths))
+    oy = list(map(ys_out.__getitem__, depths))
+    pieces = "\n".join(("", edge, edge, circle_in, circle_in, circle_out)).split("%s")
+    columns = [repeat(pieces[0])]
+    for piece, column in zip(pieces[1:], (xa, iy, xw, oy, xb, iy, xw, oy,
+                                          xa, iy, xb, iy, xw, oy)):
+        columns += (column, repeat(piece))
+    gates = "".join(chain.from_iterable(zip(*columns)))
+    return "\n".join(lines) + gates + "\n</svg>\n"

@@ -309,9 +309,10 @@ def run_virtual(
     return run
 
 
-def build_task_graph(kernel: ScanKernel | Callable, n: int, workers: int = 0) -> TaskGraph:
+def build_task_graph(kernel: ScanKernel | Callable, n: int,
+                     workers: int | None = None) -> TaskGraph:
     """Task graph of one kernel run at size n (workers defaults to n)."""
-    workers = _check_workers(workers or max(n, 1), threads=False)
+    workers = max(n, 1) if workers is None else _check_workers(workers, threads=False)
     return _schedule(_kernel_plan(kernel, n), n, workers)
 
 

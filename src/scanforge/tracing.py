@@ -7,10 +7,12 @@ previous put, and the kernel has no value-dependent control flow. The
 history is enough to reconstruct the kernel's data flow, stage structure,
 and operation count.
 
-The same plan is also read without a Transaction per update, as integer
-columns (_columns, _plan_rows): the CLI's trace and render and the race
-check write their output from them. Histories and columns are staged by
-one rule, _depths.
+Every trace has one row format: int columns of first reads, second reads
+and writes, and the stage depths that _depths gives them. _plan_rows reads
+them from a plan and _history_rows from a history, which refuses a
+transaction that does not read exactly two cells. One JSON writer
+(_json_rows), render's one SVG writer and verify's one race check consume
+these columns, whichever of the two they come from.
 """
 
 from __future__ import annotations
@@ -45,14 +47,14 @@ def _columns(plan: Plan) -> tuple[list[int], list[int], list[int]]:
     return firsts, seconds, writes
 
 
-def _depths(lows: Iterable, writes: Iterable[int]) -> list[int]:
+def _depths(firsts: Iterable[int], seconds: Iterable[int], writes: Iterable[int]) -> list[int]:
     """The stage rule: the stage depth of each row, from its lowest read and
     its write.
 
     A row starts a new stage when its lowest read is at or below the previous
-    row's write; the first row sits at depth 1. A row that reads nothing has
-    the low math.inf, so it never starts a stage after the first.
+    row's write; the first row sits at depth 1.
     """
+    lows = map(min, firsts, seconds)
     # Summing from the int 0 makes every depth an int; the first would
     # otherwise be the bool True.
     depths = list(accumulate(map(le, lows, chain((math.inf,), writes)), initial=0))
@@ -63,15 +65,24 @@ def _depths(lows: Iterable, writes: Iterable[int]) -> list[int]:
 def _plan_rows(plan: Plan) -> tuple[list[int], ...]:
     """The plan's columns (first reads, second reads, writes) and their depths."""
     firsts, seconds, writes = _columns(plan)
-    return firsts, seconds, writes, _depths(map(min, firsts, seconds), writes)
+    return firsts, seconds, writes, _depths(firsts, seconds, writes)
 
 
-def _history_rows(history: Iterable[Transaction]) -> tuple[list, list[int], list[int]]:
-    """A history's reads, writes and stage depths, as columns."""
+def _history_rows(history: Iterable[Transaction]) -> tuple[list[int], ...]:
+    """A history's columns and depths, as _plan_rows gives a plan's.
+
+    A transaction that does not read exactly two cells is a ValueError that
+    names its row.
+    """
     history = list(history)
-    reads = [t.reads for t in history]
+    for ordinal, t in enumerate(history, start=1):
+        if len(t.reads) != 2:
+            raise ValueError(f"trace row {ordinal} reads {list(t.reads)}: "
+                             "a row reads exactly two cells")
+    firsts = [t.reads[0] for t in history]
+    seconds = [t.reads[1] for t in history]
     writes = [t.write for t in history]
-    return reads, writes, _depths([min(r, default=math.inf) for r in reads], writes)
+    return firsts, seconds, writes, _depths(firsts, seconds, writes)
 
 
 def run_traced(kernel: ScanKernel | Callable, n: int) -> TraceHistory:
@@ -91,11 +102,11 @@ def infer_depths(history: Iterable[Transaction]) -> list[tuple[Transaction, int]
     Depths are 1-based; the first transaction sits at depth 1.
     """
     history = list(history)
-    return list(zip(history, _history_rows(history)[2]))
+    return list(zip(history, _history_rows(history)[3]))
 
 
 def max_depth(history: Iterable[Transaction]) -> int:
-    depths = _history_rows(history)[2]
+    depths = _history_rows(history)[3]
     return depths[-1] if depths else 0
 
 
@@ -107,33 +118,28 @@ def dag_depths(history: Iterable[Transaction]) -> list[tuple[Transaction, int]]:
     return [(t, depth) for t, (_, _, depth) in zip(history, walk)]
 
 
-def _json_rows(reads: Iterable[str], writes: Iterable[int], depths: Iterable[int]) -> str:
-    """The trace JSON of rows whose reads are already written as JSON.
+def _json_rows(firsts: Iterable[int], seconds: Iterable[int], writes: Iterable[int],
+               depths: Iterable[int]) -> str:
+    """The trace JSON of the rows (firsts[k], seconds[k], writes[k], depths[k]).
 
     The text is json.dumps(rows, indent=2) for integer indices, written here
     with one f-string per row: with indent set, json encodes in pure Python,
     one call per token.
     """
-    rows = ",\n".join([f'  {{\n    "reads": {r},\n    "write": {w},\n    "depth": {d}\n  }}'
-                       for r, w, d in zip(reads, writes, depths)])
+    rows = ",\n".join([f'  {{\n    "reads": [\n      {a},\n      {b}\n    ],\n'
+                       f'    "write": {w},\n    "depth": {d}\n  }}'
+                       for a, b, w, d in zip(firsts, seconds, writes, depths)])
     return "[\n" + rows + "\n]" if rows else "[]"
 
 
-def _reads_json(reads: tuple[int, ...]) -> str:
-    return "[\n      " + ",\n      ".join(map(str, reads)) + "\n    ]" if reads else "[]"
-
-
 def trace_to_json(history: TraceHistory) -> str:
-    """Stable JSON form: [{"reads": [...], "write": i, "depth": d}, ...]."""
-    reads, writes, depths = _history_rows(history)
-    return _json_rows(map(_reads_json, reads), writes, depths)
+    """Stable JSON form: [{"reads": [a, b], "write": i, "depth": d}, ...]."""
+    return _json_rows(*_history_rows(history))
 
 
 def _plan_json(kernel: ScanKernel | Callable, n: int) -> str:
     """trace_to_json(run_traced(kernel, n)), read from the plan's columns."""
-    firsts, seconds, writes, depths = _plan_rows(_kernel_plan(kernel, n))
-    pairs = [f"[\n      {a},\n      {b}\n    ]" for a, b in zip(firsts, seconds)]
-    return _json_rows(pairs, writes, depths)
+    return _json_rows(*_plan_rows(_kernel_plan(kernel, n)))
 
 
 def trace_from_json(text: str) -> TraceHistory:

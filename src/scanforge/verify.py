@@ -139,7 +139,7 @@ def _interval_columns(plan: Plan, n: int) -> Optional[tuple[list[int], list[int]
     return lo, hi
 
 
-def _race_check(reads: Sequence[tuple[int, ...]], writes: Sequence[int],
+def _race_check(firsts: Sequence[int], seconds: Sequence[int], writes: Sequence[int],
                 depths: Iterable[int]) -> RaceReport:
     """Within each stage, no index may be touched by two rows.
 
@@ -152,13 +152,13 @@ def _race_check(reads: Sequence[tuple[int, ...]], writes: Sequence[int],
         start, end = end, end + size
         if size == 1:
             continue
-        cells = [i for r, w in zip(reads[start:end], writes[start:end]) for i in r if i != w]
-        cells += writes[start:end]
+        fs, ss, ws = firsts[start:end], seconds[start:end], writes[start:end]
+        cells = [a for a, w in zip(fs, ws) if a != w] + [b for b, w in zip(ss, ws) if b != w] + ws
         if len(set(cells)) == len(cells):
             continue
         seen: dict[int, int] = {}
-        for ordinal in range(start + 1, end + 1):
-            for idx in set(reads[ordinal - 1]) | {writes[ordinal - 1]}:
+        for ordinal, (a, b, w) in enumerate(zip(fs, ss, ws), start=start + 1):
+            for idx in {a, b, w}:
                 if idx in seen:
                     return RaceReport(False, (seen[idx], ordinal))
                 seen[idx] = ordinal
@@ -171,8 +171,7 @@ def race_check_history(history: list[Transaction]) -> RaceReport:
 
 
 def _plan_races(plan: Plan) -> RaceReport:
-    firsts, seconds, writes, depths = _plan_rows(plan)
-    return _race_check(list(zip(firsts, seconds)), writes, depths)
+    return _race_check(*_plan_rows(plan))
 
 
 def verify_race_free(kernel: ScanKernel | Callable, n: int) -> RaceReport:

@@ -110,13 +110,16 @@ def test_trace_render_roundtrip_byte_identical(tmp_path):
     trace_path = tmp_path / "t.json"
     direct = tmp_path / "direct.svg"
     via = tmp_path / "via.svg"
-    assert main(["trace", "--kernel", "brent-kung", "--n", "8",
-                 "--out", str(trace_path)]) == 0
-    assert main(["render", "--kernel", "brent-kung", "--n", "8",
-                 "--out", str(direct)]) == 0
-    assert main(["render", "--trace", str(trace_path), "--n", "8",
-                 "--out", str(via)]) == 0
-    assert direct.read_bytes() == via.read_bytes()
+    cases = [("brent-kung-8", 8, 4)]
+    cases += [(name, n, 4) for name in ("serial", "brent-kung") for n in (1, 8, 33, 1000)]
+    cases += [("scan-then-fan", n, chunks) for n in (1, 8, 33, 1000) for chunks in (1, 3, 8)]
+    for name, n, chunks in cases:
+        kernel = ["--kernel", name, "--n", str(n), "--chunks", str(chunks)]
+        assert main(["trace", *kernel, "--out", str(trace_path)]) == 0
+        assert main(["render", *kernel, "--out", str(direct)]) == 0
+        assert main(["render", "--trace", str(trace_path), "--n", str(n),
+                     "--out", str(via)]) == 0
+        assert direct.read_bytes() == via.read_bytes(), (name, n, chunks)
 
 
 def test_render_viewport_flag(tmp_path):
@@ -263,6 +266,10 @@ def test_p_range_without_points_is_usage_error(spec, capsys):
     ([{"reads": [0, 1], "write": 1}], None, "row 1 has an index"),
     ({"reads": [1, 2], "write": 2}, None, "JSON list"),
     ([], -3, "a diagram -3 lines wide"),  # used to write an SVG of negative width
+    ([{"reads": [1, 2], "write": 2}, {"reads": [2], "write": 3}], None,
+     "trace row 2 reads [2]: a row reads exactly two cells"),
+    ([{"reads": [1, 2], "write": 2}, {"reads": [1, 2, 3], "write": 3}], None,
+     "trace row 2 reads [1, 2, 3]: a row reads exactly two cells"),
 ])
 def test_render_rejects_malformed_trace(tmp_path, capsys, rows, n, complaint):
     trace = tmp_path / "t.json"

@@ -1,5 +1,6 @@
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +42,12 @@ def test_single_gate_element_counts():
     d = Diagram(width=2, max_depth=1, gates=[Gate((1, 2), (2,), 1)])
     c = counts(svg_string(d))
     assert c == {"in": 2, "out": 1, "edge": 2, "guide": 2}
+    # A gate reads two of the diagram's lines and writes one.
+    for bad in (Gate((1,), (2,), 1), Gate((1, 2, 2), (2,), 1), Gate((1, 2), (), 1),
+                Gate((1, 2), (1, 2), 1), Gate((1, 3), (2,), 1), Gate((0, 1), (1,), 1),
+                Gate((1, 2), (3,), 1)):
+        with pytest.raises(ValueError, match=r"gate 2 reads .* lines 1\.\.2"):
+            svg_string(Diagram(width=2, max_depth=1, gates=[d.gates[0], bad]))
 
 
 def test_empty_diagram_only_guidelines():
@@ -90,19 +97,23 @@ def test_no_same_depth_processor_overlap():
             seen.add((g.depth, i))
 
 
-line_index = st.integers(min_value=1, max_value=64)
-random_gate = st.builds(Gate,
-                        st.lists(line_index, max_size=3).map(tuple),
-                        st.lists(line_index, min_size=1, max_size=2).map(tuple),
-                        st.integers(min_value=1, max_value=50))
+def random_gates(width):
+    """Gates that read two of the lines 1..width and write one."""
+    if not width:
+        return st.just([])
+    line = st.integers(min_value=1, max_value=width)
+    gate = st.builds(Gate, st.tuples(line, line), st.tuples(line),
+                     st.integers(min_value=1, max_value=50))
+    return st.lists(gate, max_size=40)
 
 
-@given(st.integers(min_value=0, max_value=64),
+@given(st.integers(min_value=0, max_value=64).flatmap(
+           lambda width: st.tuples(st.just(width), random_gates(width))),
        st.integers(min_value=0, max_value=50),
-       st.lists(random_gate, max_size=40),
        st.tuples(st.integers(min_value=1, max_value=4000),
                  st.integers(min_value=1, max_value=4000)))
 @settings(max_examples=200, deadline=None)
-def test_svg_string_equals_the_reference_renderer(width, max_depth, gates, viewport):
+def test_svg_string_equals_the_reference_renderer(width_gates, max_depth, viewport):
+    width, gates = width_gates
     d = Diagram(width=width, max_depth=max_depth, gates=gates)
     assert svg_string(d, viewport) == render_oracle.svg_string(d, viewport)

@@ -272,10 +272,12 @@ def test_virtual_schedule_memory_is_bounded_by_n_not_by_workers():
     lambda workers: build_task_graph(SERIAL, 3, workers),
 ], ids=["run_parallel", "run_virtual", "build_task_graph"])
 def test_a_worker_count_must_be_an_int(entry):
-    # 2.5 used to fail inside the walk: "can't multiply sequence by non-int".
+    # 2.5 used to fail inside the walk: "can't multiply sequence by non-int",
+    # and build_task_graph used to read 0.0 as its default.
     before = threading.active_count()
-    with pytest.raises(TypeError, match="workers must be an int, got 2.5"):
-        entry(2.5)
+    for workers in (2.5, 0.0):
+        with pytest.raises(TypeError, match=f"workers must be an int, got {workers}"):
+            entry(workers)
     assert threading.active_count() == before
     assert entry(2) is not None
 

@@ -59,10 +59,18 @@ def test_put_closes_transaction():
     assert s.pending_reads == []
 
 
+# Every reader of a history, each of which refuses a row without two reads.
+HISTORY_READERS = [infer_depths, max_depth, trace_to_json, race_check_history,
+                   lambda history: layout(history, 4)]
+
+
 def test_put_with_no_reads_recorded():
     s = TraceStore(4)
     s.put(3, UNIT)
     assert s.history == [Transaction((), 3)]
+    for reader in HISTORY_READERS:
+        with pytest.raises(ValueError, match=r"trace row 2 reads \[\]"):
+            reader([Transaction((1, 2), 2)] + s.history)
 
 
 def test_placeholder_op_is_closed():
@@ -174,16 +182,23 @@ def test_depths_disagree_on_independent_low_read():
 @pytest.mark.parametrize("fn", mutants.CONTRACT_BREACHES)
 @pytest.mark.parametrize("as_kernel", [False, True], ids=["callable", "ScanKernel"])
 def test_run_traced_raises_on_contract_breach(fn, as_kernel):
-    # The raw TraceStore records either breach as one 3-read transaction.
-    assert fn(TraceStore(3), placeholder_op).history[0].reads in {(1, 1, 2), (1, 2, 3)}
+    # The raw TraceStore records either breach as one 3-read transaction,
+    # which no reader of a history accepts.
+    history = fn(TraceStore(3), placeholder_op).history
+    assert history[0].reads in {(1, 1, 2), (1, 2, 3)}
+    for reader in HISTORY_READERS:
+        with pytest.raises(ValueError, match=r"trace row 1 reads \[1, [12], [23]\]"):
+            reader(history)
     with pytest.raises(ContractError):
         run_traced(ScanKernel(fn.__name__, fn) if as_kernel else fn, 3)
 
 
-histories = st.lists(st.builds(Transaction,
-                               st.lists(st.integers(1, 10**6), max_size=4).map(tuple),
-                               st.integers(1, 10**6)),
-                     max_size=40)
+def two_read_histories(cells):
+    """Histories whose every transaction reads two of the cells and writes one."""
+    return st.lists(st.builds(Transaction, st.tuples(cells, cells), cells), max_size=40)
+
+
+histories = two_read_histories(st.integers(1, 10**6))
 
 
 def reference_depths(history):
@@ -197,10 +212,7 @@ def reference_depths(history):
 
 
 # Indices from a few cells, so that rows of one stage often share a cell.
-crowded_histories = st.lists(st.builds(Transaction,
-                                       st.lists(st.integers(1, 8), max_size=4).map(tuple),
-                                       st.integers(1, 8)),
-                             max_size=40)
+crowded_histories = two_read_histories(st.integers(1, 8))
 
 
 def reference_conflict(staged):

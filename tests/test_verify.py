@@ -325,14 +325,17 @@ def row_loop(reads, writes, depths):
     return RaceReport(True)
 
 
-@given(st.lists(st.tuples(st.lists(st.integers(1, 12), max_size=3).map(tuple),
-                          st.integers(1, 12), st.booleans())))
+cell = st.integers(1, 12)
+
+
+@given(st.lists(st.tuples(st.tuples(cell, cell), cell, st.booleans())))
 @settings(max_examples=300, deadline=None)
 def test_staged_race_check_is_the_row_loop(rows):
     reads = [r for r, _, _ in rows]
     writes = [w for _, w, _ in rows]
     depths = list(accumulate(new for _, _, new in rows))  # stages of consecutive rows
-    assert _race_check(reads, writes, depths) == row_loop(reads, writes, depths)
+    firsts, seconds = [a for a, _ in reads], [b for _, b in reads]
+    assert _race_check(firsts, seconds, writes, depths) == row_loop(reads, writes, depths)
 
 
 def test_mutant_reports_match_the_golden():
