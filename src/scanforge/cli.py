@@ -133,22 +133,17 @@ def _cmd_render(args) -> int:
     viewport = _parse_viewport(args.viewport)
     if args.trace:
         with open(args.trace) as f:
-            history = tracing.trace_from_json(f.read())
-        top = [max(t.reads + (t.write,)) for t in history]
-        n = args.n if args.n is not None else max(top, default=0)
-        if not 0 <= n <= runtime.MAX_N:  # before any layout: the SVG draws a line per index
+            rows = tracing._trace_rows(f.read(), args.n)
+        n = args.n if args.n is not None else max(map(max, *rows[:3]), default=0)
+        if not 0 <= n <= runtime.MAX_N:  # before drawing: the SVG draws a line per index
             raise UsageError(f"a diagram {n} lines wide: n must be in 0..MAX_N ({runtime.MAX_N})")
-        for ordinal, k in enumerate(top, start=1):
-            if k > n:
-                raise ValueError(f"trace row {ordinal} uses index {k}, outside 1..{n}")
-        svg = render.svg_string(render.layout(history, n), viewport)
     else:
         if args.kernel is None or args.n is None:
             raise UsageError("render requires --trace or both --kernel and --n")
         kernel = _get_kernel(args.kernel, args.chunks)
         _check_size(kernel, args.n)
-        svg = render._plan_svg(kernel, args.n, viewport)
-    _atomic_write(args.out, svg)
+        n, rows = args.n, tracing._plan_rows(kernels._kernel_plan(kernel, args.n))
+    _atomic_write(args.out, render._svg(n, max(rows[3], default=0), *rows, viewport))
     return 0
 
 

@@ -8,17 +8,17 @@ byte-identical files.
 
 One writer, _svg, draws every diagram from the trace columns (first reads,
 second reads, writes, depths): svg_string from a Diagram's gates, and the
-CLI's render --kernel from the plan's columns.
+CLI's render from a plan's or a trace file's columns. layout reads a
+history through tracing's one row rule, on the lines 1..n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .kernels import ScanKernel, _kernel_plan
-from .tracing import Transaction, _history_rows, _plan_rows
+from .tracing import Transaction, _as_row, _rows
 
 R_IN = 0.1
 R_OUT = 0.25
@@ -46,8 +46,8 @@ class Diagram:
 
 
 def layout(history: Iterable[Transaction], n: int) -> Diagram:
-    """Place one gate per transaction at its inferred stage depth."""
-    firsts, seconds, writes, depths = _history_rows(history)
+    """One gate per transaction at its stage depth, by the row rule on lines 1..n."""
+    firsts, seconds, writes, depths = _rows(map(_as_row, history), n)
     gates = list(map(Gate, zip(firsts, seconds), zip(writes), depths))
     return Diagram(width=n, max_depth=depths[-1] if depths else 0, gates=gates)
 
@@ -65,23 +65,19 @@ def svg_string(d: Diagram, viewport: tuple[int, int] = (600, 400)) -> str:
 
     The unit box (0.5, 0, width, max_depth+1) is mapped affinely onto the
     pixel viewport; the depth axis points downward. A gate that does not
-    read two of the lines 1..width and write one is a ValueError.
+    read two of the lines 1..width and write one, or that sits at a depth
+    outside 1..max_depth, is a ValueError.
     """
     lines = frozenset(range(1, d.width + 1))
     for k, g in enumerate(d.gates, start=1):
         if len(g.ins) != 2 or len(g.outs) != 1 or not lines.issuperset((*g.ins, *g.outs)):
             raise ValueError(f"gate {k} reads {g.ins} and writes {g.outs}: a gate "
                              f"reads two of the lines 1..{d.width} and writes one")
+        if not 1 <= g.depth <= d.max_depth:
+            raise ValueError(f"gate {k} sits at depth {g.depth}, outside 1..{d.max_depth}")
     return _svg(d.width, d.max_depth, [g.ins[0] for g in d.gates],
                 [g.ins[1] for g in d.gates], [g.outs[0] for g in d.gates],
                 [g.depth for g in d.gates], viewport)
-
-
-def _plan_svg(kernel: ScanKernel | Callable, n: int, viewport: tuple[int, int]) -> str:
-    """svg_string(layout(run_traced(kernel, n), n), viewport), read from the
-    plan's columns."""
-    firsts, seconds, writes, depths = _plan_rows(_kernel_plan(kernel, n))
-    return _svg(n, depths[-1] if depths else 0, firsts, seconds, writes, depths, viewport)
 
 
 def _svg(width: int, max_depth: int, firsts: Sequence[int], seconds: Sequence[int],

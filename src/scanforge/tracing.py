@@ -9,10 +9,10 @@ and operation count.
 
 Every trace has one row format: int columns of first reads, second reads
 and writes, and the stage depths that _depths gives them. _plan_rows reads
-them from a plan and _history_rows from a history, which refuses a
-transaction that does not read exactly two cells. One JSON writer
-(_json_rows), render's one SVG writer and verify's one race check consume
-these columns, whichever of the two they come from.
+them from a plan, whose recorder has checked every row, and _rows, the one
+row rule, from rows that come from anywhere else: histories, trace files and
+a layout's history on its n lines. One JSON writer (_json_rows), render's one
+SVG writer and verify's one race check consume these columns.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import le
-from typing import Callable, Iterable
+from operator import attrgetter, itemgetter, le
+from typing import Callable, Iterable, Optional
 
 from .kernels import Plan, ScanKernel, _kernel_plan, _progression, _walk
 
@@ -34,6 +34,7 @@ class Transaction:
 
 
 TraceHistory = list[Transaction]
+_as_row = attrgetter("reads", "write")  # a Transaction as its (reads, write) row
 
 
 def _columns(plan: Plan) -> tuple[list[int], list[int], list[int]]:
@@ -68,21 +69,27 @@ def _plan_rows(plan: Plan) -> tuple[list[int], ...]:
     return firsts, seconds, writes, _depths(firsts, seconds, writes)
 
 
-def _history_rows(history: Iterable[Transaction]) -> tuple[list[int], ...]:
-    """A history's columns and depths, as _plan_rows gives a plan's.
-
-    A transaction that does not read exactly two cells is a ValueError that
-    names its row.
-    """
-    history = list(history)
-    for ordinal, t in enumerate(history, start=1):
-        if len(t.reads) != 2:
-            raise ValueError(f"trace row {ordinal} reads {list(t.reads)}: "
-                             "a row reads exactly two cells")
-    firsts = [t.reads[0] for t in history]
-    seconds = [t.reads[1] for t in history]
-    writes = [t.write for t in history]
-    return firsts, seconds, writes, _depths(firsts, seconds, writes)
+def _rows(rows: Iterable[tuple], n: Optional[int] = None) -> tuple[list[int], ...]:
+    """The row rule: the columns and depths of (reads, write) rows. A row
+    reads exactly two cells, and each index is an int in 1..n (>= 1 when n is
+    None); the first row that breaks this is a ValueError naming it."""
+    rows = list(rows)
+    reads, writes = list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows))
+    if set(map(len, reads)) <= {2}:
+        firsts, seconds = list(map(itemgetter(0), reads)), list(map(itemgetter(1), reads))
+        cells = (firsts, seconds, writes)
+        if (set(map(type, chain(*cells))) <= {int} and min(chain(*cells), default=1) >= 1
+                and (n is None or max(chain(*cells), default=n) <= n)):
+            return firsts, seconds, writes, _depths(firsts, seconds, writes)
+    for ordinal, (r, w) in enumerate(rows, start=1):
+        if len(r) != 2:
+            raise ValueError(f"trace row {ordinal} reads {list(r)}: a row reads exactly two cells")
+        if not all(type(k) is int and k >= 1 for k in (*r, w)):
+            raise ValueError(f"trace row {ordinal} has an index that is not an integer >= 1: "
+                             f"reads {list(r)}, write {w!r}")
+        if n is not None and max(*r, w) > n:
+            raise ValueError(f"trace row {ordinal} uses index {max(*r, w)}, outside 1..{n}")
+    raise AssertionError("the columns broke the row rule, but no row did")
 
 
 def run_traced(kernel: ScanKernel | Callable, n: int) -> TraceHistory:
@@ -102,12 +109,11 @@ def infer_depths(history: Iterable[Transaction]) -> list[tuple[Transaction, int]
     Depths are 1-based; the first transaction sits at depth 1.
     """
     history = list(history)
-    return list(zip(history, _history_rows(history)[3]))
+    return list(zip(history, _rows(map(_as_row, history))[3]))
 
 
 def max_depth(history: Iterable[Transaction]) -> int:
-    depths = _history_rows(history)[3]
-    return depths[-1] if depths else 0
+    return max(_rows(map(_as_row, history))[3], default=0)
 
 
 def dag_depths(history: Iterable[Transaction]) -> list[tuple[Transaction, int]]:
@@ -134,7 +140,7 @@ def _json_rows(firsts: Iterable[int], seconds: Iterable[int], writes: Iterable[i
 
 def trace_to_json(history: TraceHistory) -> str:
     """Stable JSON form: [{"reads": [a, b], "write": i, "depth": d}, ...]."""
-    return _json_rows(*_history_rows(history))
+    return _json_rows(*_rows(map(_as_row, history)))
 
 
 def _plan_json(kernel: ScanKernel | Callable, n: int) -> str:
@@ -142,24 +148,26 @@ def _plan_json(kernel: ScanKernel | Callable, n: int) -> str:
     return _json_rows(*_plan_rows(_kernel_plan(kernel, n)))
 
 
-def trace_from_json(text: str) -> TraceHistory:
-    """Parse trace_to_json output; a malformed row raises ValueError naming it."""
+def _trace_rows(text: str, n: Optional[int] = None) -> tuple[list[int], ...]:
+    """A trace file's columns and depths, by the row rule, or a ValueError
+    naming the first row without a 'reads' list and a 'write'."""
     try:
         rows = json.loads(text)
     except RecursionError:
         raise ValueError("a trace nests its JSON too deeply") from None
     if not isinstance(rows, list):
         raise ValueError("a trace is a JSON list of rows")
-    history = []
+    pairs = []
     for ordinal, row in enumerate(rows, start=1):
         try:
-            t = Transaction(tuple(row["reads"]), row["write"])
+            pairs.append((tuple(row["reads"]), row["write"]))
         except (KeyError, TypeError):
             raise ValueError(f"trace row {ordinal} needs a 'reads' list and a "
                              f"'write': {row!r}") from None
-        if not all(type(k) is int and k >= 1 for k in t.reads + (t.write,)):
-            raise ValueError(f"trace row {ordinal} has an index that is not an "
-                             f"integer >= 1: {row!r}")
-        history.append(t)
-    return history
+    return _rows(pairs, n)
 
+
+def trace_from_json(text: str) -> TraceHistory:
+    """Parse trace_to_json output; a malformed row raises ValueError naming it."""
+    firsts, seconds, writes, _ = _trace_rows(text)
+    return list(map(Transaction, zip(firsts, seconds), writes))

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .kernels import Plan, ScanKernel, _cells, _kernel_plan, _passes, _replay, _updates
 from .ops import IDENTITY, TOP, Interval, Range, interval_plus
-from .tracing import Transaction, _history_rows, _plan_rows
+from .tracing import Transaction, _as_row, _plan_rows, _rows
 
 
 def seed_intervals(n: int) -> list:
@@ -167,7 +167,7 @@ def _race_check(firsts: Sequence[int], seconds: Sequence[int], writes: Sequence[
 
 def race_check_history(history: list[Transaction]) -> RaceReport:
     """The race check of a recorded history, staged by the stage rule."""
-    return _race_check(*_history_rows(history))
+    return _race_check(*_rows(map(_as_row, history)))
 
 
 def _plan_races(plan: Plan) -> RaceReport:

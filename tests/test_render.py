@@ -48,6 +48,10 @@ def test_single_gate_element_counts():
                 Gate((1, 2), (3,), 1)):
         with pytest.raises(ValueError, match=r"gate 2 reads .* lines 1\.\.2"):
             svg_string(Diagram(width=2, max_depth=1, gates=[d.gates[0], bad]))
+    # ... at a depth in 1..max_depth; depth 5 used to be drawn at cy=900 of 400.
+    for depth in (0, 2, 5):
+        with pytest.raises(ValueError, match=rf"gate 2 sits at depth {depth}, outside 1\.\.1"):
+            svg_string(Diagram(width=2, max_depth=1, gates=[d.gates[0], Gate((1, 2), (2,), depth)]))
 
 
 def test_empty_diagram_only_guidelines():
@@ -97,23 +101,24 @@ def test_no_same_depth_processor_overlap():
             seen.add((g.depth, i))
 
 
-def random_gates(width):
-    """Gates that read two of the lines 1..width and write one."""
-    if not width:
+def random_gates(width, max_depth):
+    """Gates that read two of the lines 1..width and write one, at depths in
+    1..max_depth."""
+    if not width or not max_depth:
         return st.just([])
     line = st.integers(min_value=1, max_value=width)
     gate = st.builds(Gate, st.tuples(line, line), st.tuples(line),
-                     st.integers(min_value=1, max_value=50))
+                     st.integers(min_value=1, max_value=max_depth))
     return st.lists(gate, max_size=40)
 
 
-@given(st.integers(min_value=0, max_value=64).flatmap(
-           lambda width: st.tuples(st.just(width), random_gates(width))),
-       st.integers(min_value=0, max_value=50),
+@given(st.tuples(st.integers(min_value=0, max_value=64),
+                 st.integers(min_value=0, max_value=50)).flatmap(
+           lambda size: st.tuples(st.just(size), random_gates(*size))),
        st.tuples(st.integers(min_value=1, max_value=4000),
                  st.integers(min_value=1, max_value=4000)))
 @settings(max_examples=200, deadline=None)
-def test_svg_string_equals_the_reference_renderer(width_gates, max_depth, viewport):
-    width, gates = width_gates
+def test_svg_string_equals_the_reference_renderer(size_gates, viewport):
+    (width, max_depth), gates = size_gates
     d = Diagram(width=width, max_depth=max_depth, gates=gates)
     assert svg_string(d, viewport) == render_oracle.svg_string(d, viewport)

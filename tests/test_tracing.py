@@ -266,3 +266,49 @@ def test_run_traced_equals_the_trace_store_run(name, n, chunks):
         kernel = get_kernel(name, chunks)
         n = kernel.fixed_length or n
     assert run_traced(kernel, n) == kernel(TraceStore(n), placeholder_op).history
+
+
+# Rows of two reads, and rows of 1 to 3 reads whose indices may break the row rule.
+cell = st.integers(1, 8)
+good_rows = st.builds(Transaction, st.tuples(cell, cell), cell)
+index_or_not = st.one_of(cell, st.sampled_from([0, -5, True, 1.5]))
+any_rows = st.builds(Transaction, st.lists(index_or_not, min_size=1, max_size=3).map(tuple),
+                     index_or_not)
+
+
+def first_bad_row(history):
+    """The ordinal of the first row that does not read two cells or has an
+    index that is not an int >= 1; None when every row keeps the rule."""
+    return next((k for k, t in enumerate(history, start=1) if len(t.reads) != 2
+                 or not all(type(i) is int and i >= 1 for i in (*t.reads, t.write))), None)
+
+
+@given(st.lists(st.one_of(good_rows, any_rows), max_size=10))
+@settings(max_examples=300, deadline=None)
+def test_the_trace_writer_and_reader_agree(history):
+    # trace_to_json([Transaction((0, -5), 3)]) used to write a file that
+    # trace_from_json refused.
+    text = json.dumps([{"reads": list(t.reads), "write": t.write} for t in history])
+    bad = first_bad_row(history)
+    if bad is None:
+        assert trace_from_json(trace_to_json(history)) == history
+        assert trace_from_json(text) == history
+        return
+    with pytest.raises(ValueError, match=rf"^trace row {bad} ") as written:
+        trace_to_json(history)
+    with pytest.raises(ValueError) as read:
+        trace_from_json(text)
+    assert str(read.value) == str(written.value)
+
+
+@given(two_read_histories(cell), st.integers(0, 8))
+@settings(max_examples=200, deadline=None)
+def test_layout_refuses_an_index_outside_its_lines(history, n):
+    # layout([Transaction((1, 9), 9)], 4) used to return a gate off its 4 lines.
+    over = next((k for k, t in enumerate(history, start=1) if max(*t.reads, t.write) > n), None)
+    if over is None:
+        assert len(layout(history, n).gates) == len(history)
+    else:
+        complaint = rf"^trace row {over} uses index \d+, outside 1\.\.{n}$"
+        with pytest.raises(ValueError, match=complaint):
+            layout(history, n)

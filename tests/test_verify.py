@@ -19,12 +19,15 @@ from scanforge.kernels import (
     ContractError,
     ScanKernel,
     _kernel_plan,
+    _replay,
+    _segments,
     scan_brent_kung,
     scan_serial,
     scan_then_fan_kernel,
 )
+from scanforge.ops import builtin_ops
 from scanforge.stores import ListStore
-from scanforge.tracing import Transaction
+from scanforge.tracing import Transaction, _trace_rows, run_traced
 from scanforge.verify import (
     IDENTITY,
     Range,
@@ -32,6 +35,7 @@ from scanforge.verify import (
     TOP,
     _interval_columns,
     _race_check,
+    _serial_report,
     expected_intervals,
     interval_plus,
     race_check_history,
@@ -349,3 +353,29 @@ def test_cli_verify_matches_the_golden(capsys):
         kernel, n, chunks = key.split("/")
         code = main(["verify", "--kernel", kernel, "--n", n, "--chunks", chunks])
         assert (capsys.readouterr().out, code) == (want["stdout"], want["exit"]), key
+
+
+def test_the_interval_check_is_complete_on_random_trace_files():
+    # On every update stream that a trace file can hold, the column check,
+    # the Range replay and a concatenation of distinct letters agree: the
+    # interval check is complete for two-read updates (Chong, Donaldson and
+    # Ketema, POPL 2014). Random streams of at most 10 updates on n <= 6
+    # cells are about 1.7% correct scans; the built-in kernels' traces all are.
+    rng = random.Random(1)
+    files = [(n, [{"reads": [rng.randint(1, n), rng.randint(1, n)], "write": rng.randint(1, n)}
+                  for _ in range(rng.randint(0, 10))])
+             for n in (rng.randint(1, 6) for _ in range(6000))]
+    files += [(n, [{"reads": list(t.reads), "write": t.write} for t in run_traced(kernel, n)])
+              for kernel in (SERIAL, BRENT_KUNG, scan_then_fan_kernel(2)) for n in range(1, 7)]
+    concat, verdicts = builtin_ops()["concat"], []
+    for n, rows in files:
+        firsts, seconds, writes, _ = _trace_rows(json.dumps(rows), n)
+        plan = _segments([(a - 1, b - 1, w - 1) for a, b, w in zip(firsts, seconds, writes)], n)
+        by_columns = _interval_columns(plan, n) == ([1] * n, list(range(1, n + 1)))
+        letters = [chr(ord("a") + k) for k in range(n)]
+        words = list(letters)
+        _replay(plan, words, concat)
+        by_words = words == list(accumulate(letters))
+        assert by_columns == _serial_report(plan, "trace", n).ok == by_words, (n, rows)
+        verdicts.append(by_columns)
+    assert True in verdicts[:6000] and all(verdicts[6000:])
