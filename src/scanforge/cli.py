@@ -133,8 +133,8 @@ def _cmd_render(args) -> int:
     viewport = _parse_viewport(args.viewport)
     if args.trace:
         with open(args.trace) as f:
-            rows = tracing._trace_rows(f.read(), args.n)
-        n = args.n if args.n is not None else max(map(max, *rows[:3]), default=0)
+            columns = tracing._trace_rows(f.read(), args.n)
+        n = args.n if args.n is not None else max(map(max, *columns), default=0)
         if not 0 <= n <= runtime.MAX_N:  # before drawing: the SVG draws a line per index
             raise UsageError(f"a diagram {n} lines wide: n must be in 0..MAX_N ({runtime.MAX_N})")
     else:
@@ -142,8 +142,9 @@ def _cmd_render(args) -> int:
             raise UsageError("render requires --trace or both --kernel and --n")
         kernel = _get_kernel(args.kernel, args.chunks)
         _check_size(kernel, args.n)
-        n, rows = args.n, tracing._plan_rows(kernels._kernel_plan(kernel, args.n))
-    _atomic_write(args.out, render._svg(n, max(rows[3], default=0), *rows, viewport))
+        n, columns = args.n, tracing._columns(kernels._kernel_plan(kernel, args.n))
+    depths = tracing._depths(*columns)
+    _atomic_write(args.out, render._svg(n, max(depths, default=0), *columns, depths, viewport))
     return 0
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
-from .tracing import Transaction, _as_row, _rows
+from .tracing import Transaction, _as_row, _depths, _rows
 
 R_IN = 0.1
 R_OUT = 0.25
@@ -47,7 +47,8 @@ class Diagram:
 
 def layout(history: Iterable[Transaction], n: int) -> Diagram:
     """One gate per transaction at its stage depth, by the row rule on lines 1..n."""
-    firsts, seconds, writes, depths = _rows(map(_as_row, history), n)
+    firsts, seconds, writes = _rows(map(_as_row, history), n)
+    depths = _depths(firsts, seconds, writes)
     gates = list(map(Gate, zip(firsts, seconds), zip(writes), depths))
     return Diagram(width=n, max_depth=depths[-1] if depths else 0, gates=gates)
 

@@ -12,9 +12,12 @@ raises what the replay raises. A kernel that breaks the store contract
 raises `ContractError` before any thread starts.
 
 Workers are in-process threads, not OS processes; the wait on a
-dependency, not the transport, is what matters here. At most MAX_WORKERS
-threads run per cluster. A virtual-clock mode reads exact tick counts from
-the same schedule without threads.
+dependency, not the transport, is what matters here. Worker threads start
+lazily, when a call needs more than are idle, and are kept idle between
+calls. A call holds its workers alone: no other call submits to them until
+it has ended. At most MAX_WORKERS idle workers are kept, and a forked child
+starts with none. A virtual-clock mode reads exact tick counts from the
+same schedule without threads.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from .ops import AssocOp
 
 WORKERS_ENV = "SCANFORGE_WORKERS"
 
-# Most worker threads one Cluster starts; bench's default --p-range tops out at 32.
+# Most workers one Cluster holds, and most idle workers kept between calls;
+# bench's default --p-range tops out at 32.
 MAX_WORKERS = 256
 # Largest n that bench and the CLI's trace, render --kernel and verify take.
 MAX_N = 1 << 18
@@ -45,8 +49,12 @@ _STOP = object()
 
 
 class _Worker:
+    """A daemon thread that runs the jobs on its FIFO queue until _STOP."""
+
     def __init__(self):
         self.queue: SimpleQueue = SimpleQueue()
+        self.ended = threading.Lock()  # released by the marker job that shutdown() submits
+        self.ended.acquire()
         self.thread = threading.Thread(target=self._loop, daemon=True)
         self.thread.start()
 
@@ -54,6 +62,19 @@ class _Worker:
         get = self.queue.get
         while (job := get()) is not _STOP:
             job()
+
+
+def _forget_idle() -> None:
+    """In a forked child: the parent's threads do not exist, and another
+    thread may have held the lock at the fork."""
+    global _idle, _idle_lock
+    _idle, _idle_lock = [], threading.Lock()
+
+
+_idle: list[_Worker] = []  # workers that no cluster holds
+_idle_lock = threading.Lock()
+if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_forget_idle)
 
 
 def _check_workers(workers: int, threads: bool = True) -> int:
@@ -70,19 +91,48 @@ def _check_workers(workers: int, threads: bool = True) -> int:
 
 
 class Cluster:
-    """A pool of FIFO worker threads, numbered from 1, that run jobs."""
+    """FIFO worker threads, numbered from 1, that run jobs: idle workers
+    taken from the free list, and new ones for the shortfall.
+
+    The cluster holds its workers alone, so jobs of two clusters never queue
+    on one worker, where each could wait on a lock that a job queued behind
+    the other releases. shutdown() waits until every submitted job has ended,
+    then gives the workers back, keeping at most MAX_WORKERS idle; if the
+    wait is interrupted, the workers stop once their jobs end instead.
+    """
 
     def __init__(self, workers: int):
-        self.workers = [_Worker() for _ in range(_check_workers(workers))]
+        workers = _check_workers(workers)
+        with _idle_lock:
+            rest = max(0, len(_idle) - workers)
+            self.workers = _idle[rest:]
+            del _idle[rest:]
+        try:
+            while len(self.workers) < workers:
+                self.workers.append(_Worker())
+        except BaseException:  # a thread that could not start: give back those held
+            self.shutdown()
+            raise
 
     def submit(self, worker: int, job: Callable[[], None]) -> None:
         self.workers[worker - 1].queue.put(job)
 
     def shutdown(self) -> None:
-        for w in self.workers:
+        workers, self.workers = self.workers, []
+        for w in workers:
+            w.queue.put(w.ended.release)
+        try:
+            for w in workers:
+                w.ended.acquire()
+        except BaseException:
+            for w in workers:
+                w.queue.put(_STOP)
+            raise
+        with _idle_lock:
+            kept = max(0, MAX_WORKERS - len(_idle))
+            _idle.extend(workers[:kept])
+        for w in workers[kept:]:
             w.queue.put(_STOP)
-        for w in self.workers:
-            w.thread.join()
 
     def __enter__(self):
         return self

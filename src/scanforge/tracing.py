@@ -8,11 +8,12 @@ history is enough to reconstruct the kernel's data flow, stage structure,
 and operation count.
 
 Every trace has one row format: int columns of first reads, second reads
-and writes, and the stage depths that _depths gives them. _plan_rows reads
-them from a plan, whose recorder has checked every row, and _rows, the one
-row rule, from rows that come from anywhere else: histories, trace files and
-a layout's history on its n lines. One JSON writer (_json_rows), render's one
-SVG writer and verify's one race check consume these columns.
+and writes. _columns reads them from a plan, whose recorder has checked every
+row, and _rows, the one row rule, from rows that come from anywhere else:
+histories, trace files and a layout's history on its n lines. One JSON writer
+(_json_rows), render's one SVG writer and verify's one race check consume
+these columns with the stage depths that _depths gives them; only readers
+that use the depths compute them.
 """
 
 from __future__ import annotations
@@ -63,16 +64,10 @@ def _depths(firsts: Iterable[int], seconds: Iterable[int], writes: Iterable[int]
     return depths
 
 
-def _plan_rows(plan: Plan) -> tuple[list[int], ...]:
-    """The plan's columns (first reads, second reads, writes) and their depths."""
-    firsts, seconds, writes = _columns(plan)
-    return firsts, seconds, writes, _depths(firsts, seconds, writes)
-
-
 def _rows(rows: Iterable[tuple], n: Optional[int] = None) -> tuple[list[int], ...]:
-    """The row rule: the columns and depths of (reads, write) rows. A row
-    reads exactly two cells, and each index is an int in 1..n (>= 1 when n is
-    None); the first row that breaks this is a ValueError naming it."""
+    """The row rule: the columns of (reads, write) rows. A row reads exactly
+    two cells, and each index is an int in 1..n (>= 1 when n is None); the
+    first row that breaks this is a ValueError naming it."""
     rows = list(rows)
     reads, writes = list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows))
     if set(map(len, reads)) <= {2}:
@@ -80,7 +75,7 @@ def _rows(rows: Iterable[tuple], n: Optional[int] = None) -> tuple[list[int], ..
         cells = (firsts, seconds, writes)
         if (set(map(type, chain(*cells))) <= {int} and min(chain(*cells), default=1) >= 1
                 and (n is None or max(chain(*cells), default=n) <= n)):
-            return firsts, seconds, writes, _depths(firsts, seconds, writes)
+            return firsts, seconds, writes
     for ordinal, (r, w) in enumerate(rows, start=1):
         if len(r) != 2:
             raise ValueError(f"trace row {ordinal} reads {list(r)}: a row reads exactly two cells")
@@ -109,11 +104,11 @@ def infer_depths(history: Iterable[Transaction]) -> list[tuple[Transaction, int]
     Depths are 1-based; the first transaction sits at depth 1.
     """
     history = list(history)
-    return list(zip(history, _rows(map(_as_row, history))[3]))
+    return list(zip(history, _depths(*_rows(map(_as_row, history)))))
 
 
 def max_depth(history: Iterable[Transaction]) -> int:
-    return max(_rows(map(_as_row, history))[3], default=0)
+    return max(_depths(*_rows(map(_as_row, history))), default=0)
 
 
 def dag_depths(history: Iterable[Transaction]) -> list[tuple[Transaction, int]]:
@@ -140,17 +135,19 @@ def _json_rows(firsts: Iterable[int], seconds: Iterable[int], writes: Iterable[i
 
 def trace_to_json(history: TraceHistory) -> str:
     """Stable JSON form: [{"reads": [a, b], "write": i, "depth": d}, ...]."""
-    return _json_rows(*_rows(map(_as_row, history)))
+    columns = _rows(map(_as_row, history))
+    return _json_rows(*columns, _depths(*columns))
 
 
 def _plan_json(kernel: ScanKernel | Callable, n: int) -> str:
     """trace_to_json(run_traced(kernel, n)), read from the plan's columns."""
-    return _json_rows(*_plan_rows(_kernel_plan(kernel, n)))
+    columns = _columns(_kernel_plan(kernel, n))
+    return _json_rows(*columns, _depths(*columns))
 
 
 def _trace_rows(text: str, n: Optional[int] = None) -> tuple[list[int], ...]:
-    """A trace file's columns and depths, by the row rule, or a ValueError
-    naming the first row without a 'reads' list and a 'write'."""
+    """A trace file's columns, by the row rule, or a ValueError naming the
+    first row without a 'reads' list and a 'write'."""
     try:
         rows = json.loads(text)
     except RecursionError:
@@ -169,5 +166,5 @@ def _trace_rows(text: str, n: Optional[int] = None) -> tuple[list[int], ...]:
 
 def trace_from_json(text: str) -> TraceHistory:
     """Parse trace_to_json output; a malformed row raises ValueError naming it."""
-    firsts, seconds, writes, _ = _trace_rows(text)
+    firsts, seconds, writes = _trace_rows(text)
     return list(map(Transaction, zip(firsts, seconds), writes))

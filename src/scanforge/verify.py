@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .kernels import Plan, ScanKernel, _cells, _kernel_plan, _passes, _replay, _updates
 from .ops import IDENTITY, TOP, Interval, Range, interval_plus
-from .tracing import Transaction, _as_row, _plan_rows, _rows
+from .tracing import Transaction, _as_row, _columns, _depths, _rows
 
 
 def seed_intervals(n: int) -> list:
@@ -167,11 +167,13 @@ def _race_check(firsts: Sequence[int], seconds: Sequence[int], writes: Sequence[
 
 def race_check_history(history: list[Transaction]) -> RaceReport:
     """The race check of a recorded history, staged by the stage rule."""
-    return _race_check(*_rows(map(_as_row, history)))
+    columns = _rows(map(_as_row, history))
+    return _race_check(*columns, _depths(*columns))
 
 
 def _plan_races(plan: Plan) -> RaceReport:
-    return _race_check(*_plan_rows(plan))
+    columns = _columns(plan)
+    return _race_check(*columns, _depths(*columns))
 
 
 def verify_race_free(kernel: ScanKernel | Callable, n: int) -> RaceReport:

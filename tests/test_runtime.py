@@ -2,7 +2,9 @@ import csv
 import gc
 import io
 import itertools
+import os
 import random
+import signal
 import sys
 import threading
 import time
@@ -331,6 +333,143 @@ def test_failed_run_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.fixture
+def idle(monkeypatch):
+    """An empty free list of idle workers; its workers stop when the test ends."""
+    idle = []
+    monkeypatch.setattr(runtime, "_idle", idle)
+    yield idle
+    stop_and_join(idle)
+
+
+def stop_and_join(workers):
+    for w in workers:
+        w.queue.put(runtime._STOP)
+    for w in workers:
+        w.thread.join(timeout=10)
+        assert not w.thread.is_alive(), "a stopped worker did not end"
+
+
+def in_caller_threads(target, callers, timeout=120):
+    """Run target in callers threads at once; each must end within timeout."""
+    threads = [threading.Thread(target=target, daemon=True) for _ in range(callers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=timeout)
+        assert not t.is_alive(), "run_parallel hung"
+
+
+def test_concurrent_callers_hold_their_workers_alone():
+    # Two calls that fed one worker's FIFO queue could deadlock: each job
+    # waiting on a lock that a job queued behind the other's releases.
+    vals = [chr(0x100 + i) for i in range(48)]
+    want = list(accumulate(vals))
+    results = []
+
+    def calls():
+        for _ in range(50):
+            for kernel in (SERIAL, BRENT_KUNG, scan_then_fan_kernel(5)):
+                results.append(run_parallel(kernel, vals, add, 3))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        in_caller_threads(calls, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 4 * 50 * 3
+    assert all(r == want for r in results)
+
+
+def test_an_operator_may_call_run_parallel():
+    # The inner call's jobs would queue behind the outer's running job if the
+    # two calls shared workers.
+    def nested_add(a, b):
+        return run_parallel(SERIAL, [a, b], add, 2)[-1]
+
+    vals = list(range(1, 33))
+    results = []
+    in_caller_threads(lambda: results.append(run_parallel(BRENT_KUNG, vals, nested_add, 2)), 1)
+    assert results == [list(accumulate(vals))]
+
+
+def test_a_failed_run_gives_back_reusable_workers(idle):
+    def first_call_fails(a, b):
+        if a == 1:
+            raise ValueError("first call")
+        return a + b
+
+    vals = list(range(1, 17))
+    with pytest.raises(ValueError, match="first call"):
+        run_parallel(SERIAL, vals, first_call_fails, 3)
+    threads = {w.thread for w in idle}
+    assert len(threads) == 3 and all(t.is_alive() for t in threads)
+    assert run_parallel(BRENT_KUNG, vals, add, 3) == list(accumulate(vals))
+    assert {w.thread for w in idle} == threads
+
+
+def test_idle_workers_are_at_most_the_largest_count(idle, monkeypatch):
+    vals = list(range(1, 33))
+    for workers in (1, 4, 2, 8, 3, 8):
+        assert run_parallel(BRENT_KUNG, vals, add, workers) == list(accumulate(vals))
+    assert len(idle) == 8 and all(w.thread.is_alive() for w in idle)
+    # Beyond MAX_WORKERS idle workers, the ones given back stop.
+    stop_and_join(idle[:])
+    idle.clear()
+    monkeypatch.setattr(runtime, "MAX_WORKERS", 3)
+    before = threading.active_count()
+    first, second = Cluster(3), Cluster(2)
+    extra = second.workers[:]
+    first.shutdown()
+    second.shutdown()
+    assert len(idle) == 3
+    stop_and_join(extra)  # already sent _STOP: each ends
+    assert threading.active_count() == before + 3
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no signal.pthread_kill")
+def test_an_interrupted_shutdown_stops_its_workers(idle):
+    # Workers whose jobs may still run go to no later call.
+    assert threading.current_thread() is threading.main_thread()
+    release = threading.Event()
+    cluster = Cluster(2)
+    cluster.submit(1, lambda: release.wait(10))
+    threads = [w.thread for w in cluster.workers]
+    interrupt = threading.Timer(0.2, signal.pthread_kill,
+                                (threading.main_thread().ident, signal.SIGINT))
+    interrupt.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            cluster.shutdown()
+    finally:
+        release.set()
+        interrupt.join(timeout=10)
+    assert idle == []
+    for t in threads:  # the _STOP that shutdown sent ends them
+        t.join(timeout=10)
+        assert not t.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork() in a threaded process
+def test_a_forked_child_starts_its_own_workers():
+    # The parent's idle workers have no thread in the child: a child that took
+    # them would wait on them for ever.
+    vals = list(range(1, 65))
+    assert run_parallel(BRENT_KUNG, vals, add, 2) == list(accumulate(vals))
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(20)
+            code = 0 if run_parallel(BRENT_KUNG, vals, add, 2) == list(accumulate(vals)) else 3
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_owner_placement_rule():

@@ -369,7 +369,7 @@ def test_the_interval_check_is_complete_on_random_trace_files():
               for kernel in (SERIAL, BRENT_KUNG, scan_then_fan_kernel(2)) for n in range(1, 7)]
     concat, verdicts = builtin_ops()["concat"], []
     for n, rows in files:
-        firsts, seconds, writes, _ = _trace_rows(json.dumps(rows), n)
+        firsts, seconds, writes = _trace_rows(json.dumps(rows), n)
         plan = _segments([(a - 1, b - 1, w - 1) for a, b, w in zip(firsts, seconds, writes)], n)
         by_columns = _interval_columns(plan, n) == ([1] * n, list(range(1, n + 1)))
         letters = [chr(ord("a") + k) for k in range(n)]
