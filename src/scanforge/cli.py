@@ -16,15 +16,21 @@ def _atomic_write(path: str, text: str) -> None:
     # target, 0o666 less the umask; tempfile.mkstemp would make it 0o600.
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".scanforge-{os.urandom(8).hex()}")
-    f = open(tmp, "x")
     try:
-        with f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        f = open(tmp, "x")
+        try:
+            with f:
+                f.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        if e.errno is None:
+            raise
+        # Name the file asked for, not the temporary one.
+        raise OSError(e.errno, e.strerror, path) from None
 
 
 def _parse_number(tok: str):
@@ -137,14 +143,17 @@ def _cmd_render(args) -> int:
         n = args.n if args.n is not None else max(map(max, *columns), default=0)
         if not 0 <= n <= runtime.MAX_N:  # before drawing: the SVG draws a line per index
             raise UsageError(f"a diagram {n} lines wide: n must be in 0..MAX_N ({runtime.MAX_N})")
+        depths = tracing._depths(*columns)
     else:
         if args.kernel is None or args.n is None:
             raise UsageError("render requires --trace or both --kernel and --n")
         kernel = _get_kernel(args.kernel, args.chunks)
         _check_size(kernel, args.n)
-        n, columns = args.n, tracing._columns(kernels._kernel_plan(kernel, args.n))
-    depths = tracing._depths(*columns)
-    _atomic_write(args.out, render._svg(n, max(depths, default=0), *columns, depths, viewport))
+        plan = kernels._kernel_plan(kernel, args.n)
+        n, columns, depths = args.n, tracing._columns(plan), tracing._plan_depths(plan)
+    # Depths never fall, so the last is the deepest.
+    svg = render._svg(n, depths[-1] if depths else 0, *columns, depths, viewport)
+    _atomic_write(args.out, svg)
     return 0
 
 

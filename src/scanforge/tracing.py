@@ -12,8 +12,18 @@ and writes. _columns reads them from a plan, whose recorder has checked every
 row, and _rows, the one row rule, from rows that come from anywhere else:
 histories, trace files and a layout's history on its n lines. One JSON writer
 (_json_rows), render's one SVG writer and verify's one race check consume
-these columns with the stage depths that _depths gives them; only readers
-that use the depths compute them.
+these columns with their stage depths; only readers that use the depths
+compute them.
+
+The stage rule has two readers. _depths is its definition on rows, for rows
+from outside a plan. _stages reads it from a plan a segment at a time, by
+arithmetic on the segment's seven numbers: row k >= 1 of a segment starts a
+stage iff a + k*da <= w + (k-1)*dw or b + k*db <= w + (k-1)*dw. Each side is
+linear in k, so the rows that start no stage are one run, and the rest are
+a prefix and a suffix of the segment (Sheeran, JFP 2011, describes prefix
+networks by such regular pieces). _plan_depths builds a plan's depth column
+from it with range and repeat, and verify's race check stages a plan by it
+without building the plan's columns.
 """
 
 from __future__ import annotations
@@ -21,9 +31,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import attrgetter, itemgetter, le
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .kernels import Plan, ScanKernel, _kernel_plan, _progression, _walk
 
@@ -61,6 +71,42 @@ def _depths(firsts: Iterable[int], seconds: Iterable[int], writes: Iterable[int]
     # otherwise be the bool True.
     depths = list(accumulate(map(le, lows, chain((math.inf,), writes)), initial=0))
     del depths[0]
+    return depths
+
+
+def _stages(plan: Plan) -> Iterator[tuple[int, int, int]]:
+    """The stage rule on a plan, a segment at a time: (depth, lo, hi) per
+    segment. Its row 0 sits at stage depth, each of its rows 1..lo-1 and
+    hi+1..count-1 starts a new stage, and its rows lo..hi (none when
+    lo == hi + 1) start none.
+    """
+    depth, last = 0, None  # the stage and the write of the previous row
+    for a, b, w, da, db, dw, count in plan:
+        depth += last is None or min(a, b) <= last
+        lo, hi = 1, count - 1
+        # Row k starts no stage from a side iff c + k*s > 0.
+        for c, s in ((a - w + dw, da - dw), (b - w + dw, db - dw)):
+            if s > 0:
+                lo = max(lo, -c // s + 1)
+            elif s < 0:
+                hi = min(hi, (c - 1) // -s)
+            elif c <= 0:
+                hi = 0
+        if lo > hi:
+            lo, hi = count, count - 1
+        yield depth, lo, hi
+        depth += lo - 1 + count - 1 - hi
+        last = w + (count - 1) * dw
+
+
+def _plan_depths(plan: Plan) -> list[int]:
+    """_depths(*_columns(plan)), read from the plan's segments."""
+    depths: list[int] = []
+    for (*_, count), (depth, lo, hi) in zip(plan, _stages(plan)):
+        top = depth + lo - 1
+        depths += range(depth, top + 1)
+        depths += repeat(top, hi - lo + 1)
+        depths += range(top + 1, top + count - hi)
     return depths
 
 
@@ -141,8 +187,8 @@ def trace_to_json(history: TraceHistory) -> str:
 
 def _plan_json(kernel: ScanKernel | Callable, n: int) -> str:
     """trace_to_json(run_traced(kernel, n)), read from the plan's columns."""
-    columns = _columns(_kernel_plan(kernel, n))
-    return _json_rows(*columns, _depths(*columns))
+    plan = _kernel_plan(kernel, n)
+    return _json_rows(*_columns(plan), _plan_depths(plan))
 
 
 def _trace_rows(text: str, n: Optional[int] = None) -> tuple[list[int], ...]:

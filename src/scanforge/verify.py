@@ -20,6 +20,15 @@ is replayed on Ranges with interval_plus, the monoid's definition, as
 verify_serial does, so the report's first_top is the definition's. One
 such check proves an oblivious kernel for every associative operator
 (Chong, Donaldson and Ketema, POPL 2014).
+
+What remains is the race check: no two rows of a stage may touch one
+index. verify_parallel stages the plan by tracing's segment reader, so a
+stage of more than one row is a few pieces of segments, each three index
+progressions. The stage passes whole when its pieces' distinct progressions
+hold no repeated cell, one set built over ranges. Only a stage with a
+repeat is built into columns and goes to the row loop, the one that also
+checks histories, so the first conflicting pair is the row check's. A
+history is staged by the stage rule on its rows.
 """
 
 from __future__ import annotations
@@ -27,11 +36,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .kernels import Plan, ScanKernel, _cells, _kernel_plan, _passes, _replay, _updates
+from .kernels import (Plan, ScanKernel, _cells, _kernel_plan, _passes, _progression, _replay,
+                      _updates)
 from .ops import IDENTITY, TOP, Interval, Range, interval_plus
-from .tracing import Transaction, _as_row, _columns, _depths, _rows
+from .tracing import Transaction, _as_row, _columns, _depths, _rows, _stages
 
 
 def seed_intervals(n: int) -> list:
@@ -139,6 +149,20 @@ def _interval_columns(plan: Plan, n: int) -> Optional[tuple[list[int], list[int]
     return lo, hi
 
 
+def _row_loop(firsts: Iterable[int], seconds: Iterable[int], writes: Iterable[int],
+              start: int) -> RaceReport:
+    """The race check of one stage, row by row: the first row to touch an
+    index that an earlier row touched conflicts with it. The stage's first
+    row has the ordinal start."""
+    seen: dict[int, int] = {}
+    for ordinal, (a, b, w) in enumerate(zip(firsts, seconds, writes), start=start):
+        for idx in {a, b, w}:
+            if idx in seen:
+                return RaceReport(False, (seen[idx], ordinal))
+            seen[idx] = ordinal
+    return RaceReport(True)
+
+
 def _race_check(firsts: Sequence[int], seconds: Sequence[int], writes: Sequence[int],
                 depths: Iterable[int]) -> RaceReport:
     """Within each stage, no index may be touched by two rows.
@@ -156,12 +180,9 @@ def _race_check(firsts: Sequence[int], seconds: Sequence[int], writes: Sequence[
         cells = [a for a, w in zip(fs, ws) if a != w] + [b for b, w in zip(ss, ws) if b != w] + ws
         if len(set(cells)) == len(cells):
             continue
-        seen: dict[int, int] = {}
-        for ordinal, (a, b, w) in enumerate(zip(fs, ss, ws), start=start + 1):
-            for idx in {a, b, w}:
-                if idx in seen:
-                    return RaceReport(False, (seen[idx], ordinal))
-                seen[idx] = ordinal
+        report = _row_loop(fs, ss, ws, start + 1)
+        if not report.ok:
+            return report
     return RaceReport(True)
 
 
@@ -171,9 +192,54 @@ def race_check_history(history: list[Transaction]) -> RaceReport:
     return _race_check(*columns, _depths(*columns))
 
 
+def _stage_plans(plan: Plan) -> Iterator[tuple[int, Plan]]:
+    """Each stage of more than one row, staged by tracing._stages: the
+    ordinal of its first row and its rows as a plan of pieces of segments."""
+    stage: list[tuple[int, ...]] = []
+    # row: the rows before the segment; last: the depth of the row before it.
+    start, size, row, last = 1, 0, 0, 0
+    for (a, b, w, da, db, dw, count), (depth, lo, hi) in zip(plan, _stages(plan)):
+        # The segment's rows k0..k1-1 that may share a stage with other rows,
+        # and whether row k0 starts one: row 0, with the run lo..hi when the
+        # run begins at row 1; row lo-1 with the run; and the last row. Every
+        # other row is a stage of one row.
+        pieces = [(0, hi + 1 if lo == 1 else 1, depth > last)]
+        if lo > 1:
+            pieces.append((lo - 1, hi + 1, True))
+        if hi < count - 1:
+            pieces.append((count - 1, count, True))
+        for k0, k1, starts in pieces:
+            if starts:
+                if size > 1:
+                    yield start, tuple(stage)
+                stage, start, size = [], row + k0 + 1, 0
+            stage.append((a + k0 * da, b + k0 * db, w + k0 * dw, da, db, dw, k1 - k0))
+            size += k1 - k0
+        row += count
+        last = depth + lo - 1 + count - 1 - hi
+    if size > 1:
+        yield start, tuple(stage)
+
+
 def _plan_races(plan: Plan) -> RaceReport:
-    columns = _columns(plan)
-    return _race_check(*columns, _depths(*columns))
+    """_race_check(*columns, _depths(*columns)) on the plan's columns, staged
+    by segment. A stage passes whole when the cells of its pieces' distinct
+    progressions (reads and write; a read that is the write, or the other
+    read, in every row counts once) hold no repeat, one set built over
+    ranges; only a stage with a repeat is built into columns and checked row
+    by row."""
+    for start, stage in _stage_plans(plan):
+        cells: set[int] = set()
+        size = 0
+        for a, b, w, da, db, dw, count in stage:
+            for c, dc in {(a, da), (b, db), (w, dw)}:
+                cells.update(_progression(c, dc, count))
+                size += count
+        if len(cells) != size:
+            report = _row_loop(*_columns(stage), start)
+            if not report.ok:
+                return report
+    return RaceReport(True)
 
 
 def verify_race_free(kernel: ScanKernel | Callable, n: int) -> RaceReport:

@@ -289,6 +289,25 @@ def test_render_rejects_deeply_nested_trace(tmp_path, capsys):
     assert not (tmp_path / "t.svg").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace", "--kernel", "serial", "--n", "3"],
+    ["render", "--kernel", "serial", "--n", "3"],
+    ["bench", "--virtual-clock", "--p-range", "4", "--trials", "1"],
+], ids=["trace", "render", "bench"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_a_failed_write_names_the_path_asked_for(tmp_path, capsys, argv, where):
+    # The message used to name the hidden temporary file beside the target:
+    # "No such file or directory: '.../missing/.scanforge-<hex>'".
+    out = tmp_path / "missing" / "x.out" if where == "missing-directory" else tmp_path / "dir"
+    if where == "directory":
+        out.mkdir()
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(f": {str(out)!r}\n")
+    assert ".scanforge" not in err
+    assert [p.name for p in tmp_path.rglob("*")] == ([] if where == "missing-directory" else ["dir"])
+
+
 def test_output_files_get_the_mode_open_would_give(tmp_path):
     # The temporary file used to come from mkstemp, so every output was 0o600,
     # and overwriting a 0o644 file made it 0o600.

@@ -14,6 +14,8 @@ from scanforge.kernels import (
     SERIAL,
     ContractError,
     ScanKernel,
+    _kernel_plan,
+    _segments,
     get_kernel,
     scan_then_fan_kernel,
 )
@@ -21,6 +23,9 @@ from scanforge.render import layout
 from scanforge.stores import ListStore
 from scanforge.tracing import (
     Transaction,
+    _columns,
+    _depths,
+    _plan_depths,
     dag_depths,
     infer_depths,
     max_depth,
@@ -312,3 +317,60 @@ def test_layout_refuses_an_index_outside_its_lines(history, n):
         complaint = rf"^trace row {over} uses index \d+, outside 1\.\.{n}$"
         with pytest.raises(ValueError, match=complaint):
             layout(history, n)
+
+
+@st.composite
+def plans(draw, max_n=24):
+    """The plan (kernels._segments) of runs of updates (a + k*da, b + k*db,
+    w + k*dw) on n cells, with steps from -3 to 3, each cut where it leaves
+    the cells: negative, zero and positive steps, segments of one update, and
+    stages that run on across the end of a segment."""
+    n = draw(st.integers(1, max_n), label="n")
+    cell, step = st.integers(0, n - 1), st.integers(-3, 3)
+    runs = draw(st.lists(st.tuples(cell, cell, cell, step, step, step, st.integers(1, 10)),
+                         max_size=6), label="runs")
+    updates = [(a + k * da, b + k * db, w + k * dw)
+               for a, b, w, da, db, dw, count in runs for k in range(count)
+               if all(0 <= x < n for x in (a + k * da, b + k * db, w + k * dw))]
+    return _segments(updates, n)
+
+
+# Plans and their depths: one stage across three segments, the middle one of
+# one row; zero steps; a segment whose rows 1..4 and 7..9 start stages and
+# whose rows 5 and 6 do not; a stage from a segment's last row into the next.
+EDGE_PLANS = {
+    ((0, 1, 1, 2, 2, 2, 2), (4, 5, 5, 1, 1, 1, 1), (6, 7, 7, 2, 2, 2, 2)): [1, 1, 1, 1, 1],
+    ((3, 3, 0, 0, 0, 1, 3), (0, 5, 5, 0, 0, 0, 2)): [1, 1, 1, 2, 3],
+    ((5, 16, 10, 2, 0, 1, 10),): [1, 2, 3, 4, 5, 5, 5, 6, 7, 8],
+    ((0, 1, 1, 1, 1, 1, 3), (4, 5, 5, 2, 2, 2, 2)): [1, 2, 3, 3, 3],
+    ((0, 1, 1, 2, 2, 2, 2), (4, 5, 3, 1, 1, 1, 1)): [1, 1, 1],  # rows 2 and 3 write cell 3
+}
+
+
+def test_the_stage_reader_takes_stages_apart_across_segments():
+    for plan, depths in EDGE_PLANS.items():
+        assert _plan_depths(plan) == _depths(*_columns(plan)) == depths
+
+
+@given(plans())
+@settings(max_examples=500, deadline=None)
+def test_the_stage_reader_is_the_stage_rule_on_random_plans(plan):
+    assert _plan_depths(plan) == _depths(*_columns(plan))
+
+
+# Each built-in kernel and each mutant, with its plans at n = 1..200 (or at
+# the one length a kernel takes).
+every_kernel = pytest.mark.parametrize(
+    "kernel", [SERIAL, BRENT_KUNG, BRENT_KUNG_8, scan_then_fan_kernel(3), scan_then_fan_kernel(8)]
+    + list(mutants.ALL.values()), ids=lambda k: getattr(k, "name", getattr(k, "__name__", "")))
+
+
+def kernel_plans(kernel):
+    sizes = [kernel.fixed_length] if getattr(kernel, "fixed_length", None) else range(1, 201)
+    return [_kernel_plan(kernel, n) for n in sizes]
+
+
+@every_kernel
+def test_the_stage_reader_is_the_stage_rule_on_every_kernel(kernel):
+    for plan in kernel_plans(kernel):
+        assert _plan_depths(plan) == _depths(*_columns(plan))

@@ -27,13 +27,15 @@ from scanforge.kernels import (
 )
 from scanforge.ops import builtin_ops
 from scanforge.stores import ListStore
-from scanforge.tracing import Transaction, _trace_rows, run_traced
+from scanforge import verify
+from scanforge.tracing import Transaction, _columns, _depths, _trace_rows, run_traced
 from scanforge.verify import (
     IDENTITY,
     Range,
     RaceReport,
     TOP,
     _interval_columns,
+    _plan_races,
     _race_check,
     _serial_report,
     expected_intervals,
@@ -46,6 +48,7 @@ from scanforge.verify import (
 )
 from mutants import ALL as MUTANTS, CONTRACT_BREACHES
 from test_executors import oblivious, updates
+from test_tracing import EDGE_PLANS, every_kernel, kernel_plans, plans
 
 # verify_parallel's JSON for the mutants and `scanforge verify`'s stdout and exit
 # code for the built-in kernels, as the Range replay alone produced them.
@@ -340,6 +343,46 @@ def test_staged_race_check_is_the_row_loop(rows):
     depths = list(accumulate(new for _, _, new in rows))  # stages of consecutive rows
     firsts, seconds = [a for a, _ in reads], [b for _, b in reads]
     assert _race_check(firsts, seconds, writes, depths) == row_loop(reads, writes, depths)
+
+
+def row_race_check(plan):
+    """The race check of the plan's columns, staged by the stage rule on rows."""
+    columns = _columns(plan)
+    return _race_check(*columns, _depths(*columns))
+
+
+@given(plans())
+@settings(max_examples=500, deadline=None)
+def test_the_segment_race_check_is_the_row_race_check_on_random_plans(plan):
+    assert _plan_races(plan) == row_race_check(plan)
+
+
+@every_kernel
+def test_the_segment_race_check_is_the_row_race_check_on_every_kernel(kernel):
+    for plan in kernel_plans(kernel):
+        assert _plan_races(plan) == row_race_check(plan)
+
+
+def test_the_segment_race_check_follows_stages_across_segments():
+    reports = [_plan_races(plan) for plan in EDGE_PLANS]
+    assert reports == list(map(row_race_check, EDGE_PLANS))
+    assert reports[-1] == RaceReport(False, (2, 3))
+
+
+def test_a_passing_kernel_is_proved_without_its_columns(monkeypatch):
+    # Only a stage with a repeated cell is built into columns, and no stage
+    # of a built-in kernel has one.
+    def no_columns(plan):
+        raise AssertionError(f"columns built for {len(plan)} segments")
+
+    monkeypatch.setattr(verify, "_columns", no_columns)
+    monkeypatch.setattr(verify, "_depths", no_columns)
+    for kernel in (SERIAL, BRENT_KUNG, scan_then_fan_kernel(3), scan_then_fan_kernel(8)):
+        for n in (1, 2, 7, 64, 1000, 4099):
+            assert verify_parallel(kernel, n).ok
+    assert verify_parallel(BRENT_KUNG_8, 8).ok
+    with pytest.raises(AssertionError, match="columns built for 1 segments"):
+        verify_parallel(gather([(1, 2, 2), (3, 4, 2)]), 4)  # one stage writes cell 2 twice
 
 
 def test_mutant_reports_match_the_golden():
