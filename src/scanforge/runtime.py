@@ -11,6 +11,11 @@ speedup follows the (p-1) / tree-depth model, and a failed operator call
 raises what the replay raises. A kernel that breaks the store contract
 raises `ContractError` before any thread starts.
 
+A schedule is a `TaskGraph` of int columns (each task's worker, and its
+deps in compressed-row form), not one object per task. Schedules and the
+worker programs cut from them are cached per (plan, n, workers), oldest
+first out, while each cache holds at most _CACHE_TASKS tasks.
+
 Workers are in-process threads, not OS processes; the wait on a
 dependency, not the transport, is what matters here. Worker threads start
 lazily, when a call needs more than are idle, and are kept idle between
@@ -28,13 +33,15 @@ import operator
 import os
 import threading
 import time
+from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from queue import SimpleQueue
 from typing import Any, Callable, Iterable, Sequence
 
-from .kernels import (_PLAN_CACHE_SIZE, Plan, ScanKernel, _kernel_plan, _passes, _replay,
-                      _run_pass, _segments, _updates, _walk)
+from .kernels import (Plan, ScanKernel, _kernel_plan, _passes, _replay, _run_pass, _segments,
+                      _updates, _walk)
 from .ops import AssocOp
 
 WORKERS_ENV = "SCANFORGE_WORKERS"
@@ -44,6 +51,9 @@ WORKERS_ENV = "SCANFORGE_WORKERS"
 MAX_WORKERS = 256
 # Largest n that bench and the CLI's trace, render --kernel and verify take.
 MAX_N = 1 << 18
+# Most tasks (plan updates) whose schedules, and apart from them whose worker
+# programs, are cached; one brent-kung schedule at MAX_N has 524268.
+_CACHE_TASKS = 1 << 21
 
 _STOP = object()
 
@@ -160,9 +170,10 @@ def run_parallel_detailed(
 
     The graph is the plan's cached schedule, the one `run_virtual` and
     `build_task_graph` read; the workers run the steps `_programs` cuts from
-    it. A call runs only once every task it depends on has run, so it gets
-    the serial run's operands. If calls fail, the one first in plan order
-    is raised: the error that the plan's replay raises.
+    it, one thread for each worker that owns a cell, none for no values. A
+    call runs only once every task it depends on has run, so it gets the
+    serial run's operands. If calls fail, the one first in plan order is
+    raised: the error that the plan's replay raises.
     """
     workers = _check_workers(workers)
     n = len(values)
@@ -176,14 +187,15 @@ def run_parallel_detailed(
     skipped = [False] * locks  # set before the release of a lock whose task never ran
     failures: list = []  # (worker, position in its program, error) of each failed call
     f = op.fn if type(op) is AssocOp else op
-    with Cluster(workers) as cluster:  # shutdown() returns once every program has ended
-        for worker, steps in enumerate(programs, start=1):
-            cluster.submit(worker, functools.partial(_run_steps, steps, data, done, skipped,
-                                                     failures, worker, f))
+    if programs:
+        with Cluster(len(programs)) as cluster:  # shutdown() returns once every program has ended
+            for worker, steps in enumerate(programs, start=1):
+                cluster.submit(worker, functools.partial(_run_steps, steps, data, done, skipped,
+                                                         failures, worker, f))
     if failures:
-        tasks: list[list[int]] = [[] for _ in range(workers + 1)]  # each worker's, in order
-        for node in graph.nodes:
-            tasks[node.owner].append(node.ordinal)
+        tasks: list[list[int]] = [[] for _ in range(len(programs) + 1)]  # each worker's, in order
+        for k, owner in enumerate(graph.owners, start=1):
+            tasks[owner].append(k)
         failures.sort(key=lambda failure: tasks[failure[0]][failure[1]])
         raise failures.pop(0)[2]  # not kept in this frame, which its traceback holds
     return data, graph
@@ -226,16 +238,35 @@ class TaskNode:
     deps: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TaskGraph:
-    """Tasks in plan order and their depth: the longest dependency chain, in
-    tasks, from the walk that found the dependencies."""
+    """Tasks in plan order as read-only int columns, and their depth: the
+    longest dependency chain, in tasks, from the walk that found the
+    dependencies. Task k, counted from 1, runs on worker owners[k - 1] and
+    depends on the tasks deps[starts[k - 1]:starts[k]], in increasing order.
 
-    nodes: tuple[TaskNode, ...]
+    Not slotted: on Python 3.10 and 3.11 a slotted frozen dataclass raises
+    TypeError, not FrozenInstanceError, on an assignment to a property."""
+
+    owners: memoryview
+    starts: memoryview
+    deps: memoryview
     depth: int
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.owners)
+
+    @property
+    def nodes(self) -> tuple[TaskNode, ...]:
+        """The tasks as TaskNodes, built anew on each read."""
+        starts, deps = self.starts.tolist(), self.deps.tolist()
+        return tuple(TaskNode(k, owner, tuple(deps[starts[k - 1]:starts[k]]))
+                     for k, owner in enumerate(self.owners, start=1))
+
+
+def _frozen(column: array) -> memoryview:
+    """A read-only view of the column's ints, in a buffer of its exact size."""
+    return memoryview(column.tobytes()).cast(column.typecode)
 
 
 def _ticks(op_cost: int) -> int:
@@ -280,7 +311,49 @@ class VirtualRun:
     graph: TaskGraph
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+_CacheInfo = namedtuple("_CacheInfo", "entries tasks")
+
+
+def _cached_by_tasks(build: Callable) -> Callable:
+    """build(plan, n, workers), cached on its arguments. Once the results
+    kept are for plans of more than _CACHE_TASKS updates in all, the oldest
+    go first; a result over the bound on its own is not kept."""
+    kept: dict = {}  # (plan, n, workers) -> (result, tasks), oldest first
+    held = 0  # the tasks of the results kept
+    lock = threading.Lock()  # taken to change kept; one dict read needs none
+
+    @functools.wraps(build)
+    def cached(plan: Plan, n: int, workers: int):
+        nonlocal held
+        key = plan, n, workers
+        if (hit := kept.get(key)) is not None:
+            return hit[0]
+        result = build(plan, n, workers)
+        tasks = sum(segment[-1] for segment in plan)
+        with lock:
+            if (hit := kept.get(key)) is not None:  # another thread built it meanwhile
+                return hit[0]
+            kept[key] = result, tasks
+            held += tasks
+            while held > _CACHE_TASKS:
+                held -= kept.pop(next(iter(kept)))[1]
+        return result
+
+    def cache_info() -> _CacheInfo:
+        with lock:
+            return _CacheInfo(len(kept), held)
+
+    def cache_clear() -> None:
+        nonlocal held
+        with lock:
+            kept.clear()
+            held = 0
+
+    cached.cache_info, cached.cache_clear = cache_info, cache_clear
+    return cached
+
+
+@_cached_by_tasks
 def _schedule(plan: Plan, n: int, workers: int) -> TaskGraph:
     """The plan's task graph on FIFO workers. Cached on the plan's value, so
     equal plans share one immutable graph.
@@ -294,7 +367,8 @@ def _schedule(plan: Plan, n: int, workers: int) -> TaskGraph:
     """
     size = -(-n // workers)
     owner = [i // size + 1 for i in range(n)]
-    owners: list[int] = []  # the worker of each task
+    owners = array("i")  # the worker of each task
+    starts, deps = array("i", [0]), array("i")
 
     def touches():
         for a, b, w in _updates(plan):
@@ -302,30 +376,34 @@ def _schedule(plan: Plan, n: int, workers: int) -> TaskGraph:
             owners.append(o)
             yield a, b, w, n + o - 1
 
-    nodes, depth = [], 0
-    for k, deps, chain in _walk(touches(), n + min(n, workers)):
-        nodes.append(TaskNode(k, owners[k - 1], deps))
+    depth = 0
+    for _, task_deps, chain in _walk(touches(), n + min(n, workers)):
+        deps.extend(task_deps)
+        starts.append(len(deps))
         if chain > depth:
             depth = chain
-    return TaskGraph(tuple(nodes), depth)
+    return TaskGraph(_frozen(owners), _frozen(starts), _frozen(deps), depth)
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+@_cached_by_tasks
 def _programs(plan: Plan, n: int, workers: int) -> tuple[tuple, int]:
-    """Each worker's tasks in the plan's task graph as steps (waits, passes,
-    release), and the number of locks: one per task that another worker waits
-    for. A step starts at a task that waits on another worker's and ends after
-    a task that another worker's waits on; waits and release are lock indices."""
-    nodes = _schedule(plan, n, workers).nodes
+    """The steps (waits, passes, release) of each worker that owns a cell,
+    from the plan's task graph, and the number of locks: one per task that
+    another worker waits for. A step starts at a task that waits on another
+    worker's and ends after a task that another worker's waits on; waits and
+    release are lock indices."""
+    graph = _schedule(plan, n, workers)
+    owners, starts, deps = graph.owners.tolist(), graph.starts.tolist(), graph.deps.tolist()
     waits: dict[int, tuple[int, ...]] = {}  # task -> the locks it waits on
     lock: dict[int, int] = {}  # lock index of each task that another worker needs
-    for node in nodes:
-        if needs := [lock.setdefault(d, len(lock)) for d in node.deps
-                     if nodes[d - 1].owner != node.owner]:
-            waits[node.ordinal] = tuple(needs)
-    steps: list[list] = [[] for _ in range(workers + 1)]  # [waits, updates, release]
-    for node, update in zip(nodes, _updates(plan)):
-        k, mine = node.ordinal, steps[node.owner]
+    for k, owner in enumerate(owners, start=1):
+        if needs := [lock.setdefault(d, len(lock)) for d in deps[starts[k - 1]:starts[k]]
+                     if owners[d - 1] != owner]:
+            waits[k] = tuple(needs)
+    owning = -(-n // -(-n // workers)) if n else 0  # the workers that own a cell
+    steps: list[list] = [[] for _ in range(owning + 1)]  # [waits, updates, release]
+    for k, (owner, update) in enumerate(zip(owners, _updates(plan)), start=1):
+        mine = steps[owner]
         if k in waits or not mine or mine[-1][2] is not None:
             mine.append([waits.get(k, ()), [], None])
         mine[-1][1].append(update)

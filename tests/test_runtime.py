@@ -208,6 +208,42 @@ def test_worker_cap_is_refused_before_any_thread_starts():
     assert threading.active_count() == before
 
 
+def test_threads_start_only_for_workers_that_own_a_cell():
+    # 256 workers on 3 values used to start 256 threads and run 253 empty programs.
+    before = threading.active_count()
+    assert run_parallel(BRENT_KUNG, [1, 2, 3], add, 256) == list(accumulate([1, 2, 3]))
+    assert run_parallel(BRENT_KUNG, [], add, 256) == []
+    assert threading.active_count() - before <= 3
+
+
+def test_schedule_caches_are_bounded_by_tasks(monkeypatch):
+    # Each cache used to keep its last 64 entries whatever their size: here
+    # all 30, about 1.5 MB. Under tracemalloc a build is about ten times
+    # slower, so the sizes are near 500, about 1000 tasks each.
+    monkeypatch.setattr(runtime, "_CACHE_TASKS", 2500)
+    caches = runtime._schedule, runtime._programs
+    sizes = range(500, 530)
+    plans = [_plan(BRENT_KUNG, n) for n in sizes]
+    for cache in caches:
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        for n, plan in zip(sizes, plans):
+            runtime._programs(plan, n, 8)  # and so runtime._schedule(plan, n, 8)
+        held, _ = tracemalloc.get_traced_memory()
+        for cache in caches:
+            assert cache.cache_info().entries == 2
+            assert cache.cache_info().tasks <= 2500
+        assert held < 700_000
+        values = list(range(sizes[-1]))
+        assert run_virtual(BRENT_KUNG, values, add, 8).graph is build_task_graph(
+            BRENT_KUNG, sizes[-1], 8)
+    finally:
+        tracemalloc.stop()
+        for cache in caches:
+            cache.cache_clear()
+
+
 def test_size_cap_is_refused_before_any_recording(monkeypatch):
     assert MAX_N >= 4 * 65536  # the largest n the benchmark runs, with room
     monkeypatch.setattr(runtime, "_kernel_plan", None)  # any recording would fail
@@ -510,9 +546,12 @@ def test_task_graph_takes_its_depth_from_the_walk():
     # A graph no longer walks its nodes again for a depth (or a cycle): the
     # schedule's walk finds both, and a graph without a depth is refused.
     graph = build_task_graph(BRENT_KUNG, 8)
+    columns = graph.owners, graph.starts, graph.deps
     with pytest.raises(TypeError):
-        TaskGraph(graph.nodes)
-    assert TaskGraph(graph.nodes, graph.depth) == graph
+        TaskGraph(*columns)
+    again = TaskGraph(*columns, graph.depth)
+    assert again == graph
+    assert (again.nodes, again.depth) == (graph.nodes, graph.depth)
 
 
 def test_speedup_model_values():

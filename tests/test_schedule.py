@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mutants
+import programs_oracle
 from test_failures import any_updates, oblivious
 from scanforge.kernels import (BRENT_KUNG, KERNEL_NAMES, SERIAL, _kernel_plan, _updates,
                                get_kernel, scan_then_fan_kernel)
@@ -82,3 +83,23 @@ def test_virtual_callers_cut_no_worker_programs(monkeypatch):
     build_task_graph(SERIAL, 779, 6)
     bench(SERIAL, BRENT_KUNG, [37], op_cost=1, trials=1, virtual=True)
     assert _programs.cache_info() == before
+
+
+@pytest.mark.parametrize("kernel", [SERIAL, BRENT_KUNG, get_kernel("brent-kung-8"),
+                                    scan_then_fan_kernel(3), scan_then_fan_kernel(8),
+                                    *mutants.ALL.values()],
+                         ids=["serial", "brent-kung", "brent-kung-8", "scan-then-fan-3",
+                              "scan-then-fan-8", *mutants.ALL])
+def test_programs_equal_the_cut_from_task_nodes(kernel):
+    # The programs are now cut from the graph's columns, and only for the
+    # workers that own a cell; the cut from TaskNodes gave the rest none.
+    for n in range(1, 65):
+        if getattr(kernel, "fixed_length", None) not in (None, n):
+            continue
+        plan = _kernel_plan(kernel, n)
+        for workers in range(1, n + 2):
+            held = len({i // -(-n // workers) for i in range(n)})  # workers that own a cell
+            programs, locks = _programs(plan, n, workers)
+            want, want_locks = programs_oracle._programs(plan, n, workers)
+            assert (programs, locks) == (want[:held], want_locks)
+            assert not any(want[held:])

@@ -55,6 +55,9 @@ def test_runs_share_no_mutable_state():
         first.graph.nodes = ()
     with pytest.raises(dataclasses.FrozenInstanceError):
         first.graph.nodes[0].deps = (1,)
+    for column in (first.graph.owners, first.graph.starts, first.graph.deps):
+        with pytest.raises(TypeError):
+            column[0] = column[0]
     first.results.clear()
     second = run_virtual(BRENT_KUNG, values, OPS["add"], 4)
     assert second.results == [sum(range(i + 1)) for i in range(16)]

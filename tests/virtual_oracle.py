@@ -2,7 +2,8 @@
 for two deletions and one addition. Its value ids are gone, and so is the
 dependency on the producer of the overwritten value, which the last toucher
 of that cell already implies. It now finds its graph's depth itself, since
-a TaskGraph is given its depth.
+a TaskGraph is given its depth. Its graph is its own nodes and depth, since
+runtime's TaskGraph holds int columns.
 
 It drives the kernel's own get/put stream through closures over
 future-like cells and wires each task's dependencies as the put arrives.
@@ -11,10 +12,17 @@ Tests require run_virtual to give the same results, ticks and task nodes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from scanforge.kernels import ScanKernel
-from scanforge.runtime import TaskGraph, TaskNode, VirtualRun
+from scanforge.runtime import TaskNode, VirtualRun
+
+
+@dataclass(frozen=True)
+class TaskGraph:
+    nodes: tuple[TaskNode, ...]
+    depth: int
 
 
 class _VirtualCell:
