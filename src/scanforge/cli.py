@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 from . import kernels, ops, render, runtime, tracing, verify
 from .stores import ListStore
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, pieces: Iterable[str]) -> None:
+    """Write the pieces to path, or leave path as it was: they go to a
+    temporary file in its directory, renamed to path once all are written."""
     # Mode "x" creates the temporary file as open(path, "w") would create the
     # target, 0o666 less the umask; tempfile.mkstemp would make it 0o600.
     directory = os.path.dirname(os.path.abspath(path))
@@ -20,7 +24,7 @@ def _atomic_write(path: str, text: str) -> None:
         f = open(tmp, "x")
         try:
             with f:
-                f.write(text)
+                f.writelines(pieces)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -119,11 +123,20 @@ def _cmd_run(args) -> int:
 def _cmd_trace(args) -> int:
     kernel = _get_kernel(args.kernel, args.chunks)
     _check_size(kernel, args.n)
-    text = tracing._plan_json(kernel, args.n) + "\n"
+    pieces = chain(tracing._plan_json(kernel, args.n), ("\n",))
     if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+        _atomic_write(args.out, pieces)
+        return 0
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early, as `| head` does: the text up to there is
+        # what it asked for. Point stdout at devnull so that the flush at exit
+        # finds no closed pipe either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 
@@ -144,16 +157,17 @@ def _cmd_render(args) -> int:
         if not 0 <= n <= runtime.MAX_N:  # before drawing: the SVG draws a line per index
             raise UsageError(f"a diagram {n} lines wide: n must be in 0..MAX_N ({runtime.MAX_N})")
         depths = tracing._depths(*columns)
+        # Depths never fall, so the last is the deepest.
+        max_depth, blocks = depths[-1] if depths else 0, tracing._blocks(*columns, depths)
     else:
         if args.kernel is None or args.n is None:
             raise UsageError("render requires --trace or both --kernel and --n")
         kernel = _get_kernel(args.kernel, args.chunks)
         _check_size(kernel, args.n)
         plan = kernels._kernel_plan(kernel, args.n)
-        n, columns, depths = args.n, tracing._columns(plan), tracing._plan_depths(plan)
-    # Depths never fall, so the last is the deepest.
-    svg = render._svg(n, depths[-1] if depths else 0, *columns, depths, viewport)
-    _atomic_write(args.out, svg)
+        n, max_depth = args.n, tracing._plan_max_depth(plan)
+        blocks = tracing._blocks(*tracing._lazy_columns(plan))
+    _atomic_write(args.out, render._svg(n, max_depth, blocks, viewport))
     return 0
 
 
@@ -207,7 +221,7 @@ def _cmd_bench(args) -> int:
     )
     csv = runtime.bench_csv(rows)
     if args.out:
-        _atomic_write(args.out, csv)
+        _atomic_write(args.out, (csv,))
     else:
         sys.stdout.write(csv)
     return 0
@@ -270,9 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call and shared by every later one: parsing keeps no
+# state in the parser, and building it costs each add_argument a formatter.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (UsageError, ValueError, OSError) as e:

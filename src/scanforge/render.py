@@ -7,18 +7,19 @@ with fixed 4-decimal coordinate formatting so identical traces yield
 byte-identical files.
 
 One writer, _svg, draws every diagram from the trace columns (first reads,
-second reads, writes, depths): svg_string from a Diagram's gates, and the
-CLI's render from a plan's or a trace file's columns. layout reads a
-history through tracing's one row rule, on the lines 1..n.
+second reads, writes, depths), read in blocks: svg_string joins its pieces
+for a Diagram's gates, and the CLI's render streams them to the file from a
+plan's or a trace file's columns. layout reads a history through tracing's
+one row rule, on the lines 1..n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
-from .tracing import Transaction, _as_row, _depths, _rows
+from .tracing import _BLOCK, Transaction, _as_row, _blocks, _depths, _rows
 
 R_IN = 0.1
 R_OUT = 0.25
@@ -76,41 +77,37 @@ def svg_string(d: Diagram, viewport: tuple[int, int] = (600, 400)) -> str:
                              f"reads two of the lines 1..{d.width} and writes one")
         if not 1 <= g.depth <= d.max_depth:
             raise ValueError(f"gate {k} sits at depth {g.depth}, outside 1..{d.max_depth}")
-    return _svg(d.width, d.max_depth, [g.ins[0] for g in d.gates],
-                [g.ins[1] for g in d.gates], [g.outs[0] for g in d.gates],
-                [g.depth for g in d.gates], viewport)
+    blocks = _blocks((g.ins[0] for g in d.gates), (g.ins[1] for g in d.gates),
+                     (g.outs[0] for g in d.gates), (g.depth for g in d.gates))
+    return "".join(_svg(d.width, d.max_depth, blocks, viewport))
 
 
-def _svg(width: int, max_depth: int, firsts: Sequence[int], seconds: Sequence[int],
-         writes: Sequence[int], depths: Sequence[int], viewport: tuple[int, int]) -> str:
-    """The SVG of the gates that read lines firsts[k] and seconds[k] and write
-    line writes[k] at depth depths[k], on the lines 1..width."""
+def _svg(width: int, max_depth: int, blocks: Iterable[tuple[list[int], ...]],
+         viewport: tuple[int, int]) -> Iterator[str]:
+    """The SVG, in pieces, of the gates in blocks of columns (firsts, seconds,
+    writes, depths), on the lines 1..width: gate k reads lines firsts[k] and
+    seconds[k] and writes line writes[k] at depth depths[k]. The pieces are
+    the header, the guidelines and the gates a block of _BLOCK at a time,
+    and the closing tag."""
     w_px, h_px = viewport
     units_x = max(width, 1)
     units_y = max_depth + 1
     sx = w_px / units_x
     sy = h_px / units_y
-    # Each coordinate is formatted once (as _f does, inline to save a call
-    # each): x per line, y per gate depth.
+    # Coordinates are formatted as _f does, inline to save a call each: x
+    # once per line, and y once per block for each depth a gate of the block
+    # sits at, so no depth without a gate is formatted, whatever max_depth is.
     xs = [f"{(i - 0.5) * sx:.4f}" for i in range(width + 1)]
-    levels = set(depths)
-    ys_in = {k: f"{(k - 1 + R_IN) * sy:.4f}" for k in levels}
-    ys_out = {k: f"{(k - 1 + 0.5) * sy:.4f}" for k in levels}
 
-    lines: list[str] = []
-    lines.append('<?xml version="1.0" encoding="UTF-8"?>')
-    lines.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{w_px}" height="{h_px}" viewBox="0 0 {w_px} {h_px}">'
-    )
+    yield ('<?xml version="1.0" encoding="UTF-8"?>\n'
+           f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+           f'width="{w_px}" height="{h_px}" viewBox="0 0 {w_px} {h_px}">')
     guide_w = _f(_mm_to_px(GUIDE_MM))
     top, bottom = _f(0 * sy), _f(units_y * sy)
-    for i in range(1, width + 1):
-        lines.append(
-            f'<line class="guideline" x1="{xs[i]}" y1="{top}" '
-            f'x2="{xs[i]}" y2="{bottom}" '
-            f'stroke="grey" stroke-width="{guide_w}"/>'
-        )
+    for start in range(1, width + 1, _BLOCK):
+        yield "".join([f'\n<line class="guideline" x1="{x}" y1="{top}" x2="{x}" y2="{bottom}" '
+                       f'stroke="grey" stroke-width="{guide_w}"/>'
+                       for x in xs[start:start + _BLOCK]])
     edge_w = _f(_mm_to_px(LINE_MM))
     edge = ('<line class="edge" x1="%s" y1="%s" x2="%s" y2="%s" '
             f'stroke="black" stroke-width="{edge_w}"/>')
@@ -120,13 +117,17 @@ def _svg(width: int, max_depth: int, firsts: Sequence[int], seconds: Sequence[in
                   f'fill="white" stroke="black" stroke-width="{edge_w}"/>')
     # The five lines of a gate are one template, filled at C level by
     # interleaving its constant pieces with the coordinate columns.
-    xa, xb, xw = (list(map(xs.__getitem__, column)) for column in (firsts, seconds, writes))
-    iy = list(map(ys_in.__getitem__, depths))
-    oy = list(map(ys_out.__getitem__, depths))
     pieces = "\n".join(("", edge, edge, circle_in, circle_in, circle_out)).split("%s")
-    columns = [repeat(pieces[0])]
-    for piece, column in zip(pieces[1:], (xa, iy, xw, oy, xb, iy, xw, oy,
-                                          xa, iy, xb, iy, xw, oy)):
-        columns += (column, repeat(piece))
-    gates = "".join(chain.from_iterable(zip(*columns)))
-    return "\n".join(lines) + gates + "\n</svg>\n"
+    for firsts, seconds, writes, depths in blocks:
+        levels = set(depths)
+        ys_in = {k: f"{(k - 1 + R_IN) * sy:.4f}" for k in levels}
+        ys_out = {k: f"{(k - 1 + 0.5) * sy:.4f}" for k in levels}
+        xa, xb, xw = (list(map(xs.__getitem__, column)) for column in (firsts, seconds, writes))
+        iy = list(map(ys_in.__getitem__, depths))
+        oy = list(map(ys_out.__getitem__, depths))
+        columns = [repeat(pieces[0])]
+        for piece, column in zip(pieces[1:], (xa, iy, xw, oy, xb, iy, xw, oy,
+                                              xa, iy, xb, iy, xw, oy)):
+            columns += (column, repeat(piece))
+        yield "".join(chain.from_iterable(zip(*columns)))
+    yield "\n</svg>\n"

@@ -314,10 +314,18 @@ class VirtualRun:
 _CacheInfo = namedtuple("_CacheInfo", "entries tasks")
 
 
+def _owning(n: int, workers: int) -> int:
+    """The number of workers that own a cell when n cells are cut in blocks
+    of ceil(n/workers), so every count with the same blocks gives one
+    number; 1 for no cells."""
+    return -(-n // -(-n // workers)) if n else 1
+
+
 def _cached_by_tasks(build: Callable) -> Callable:
-    """build(plan, n, workers), cached on its arguments. Once the results
-    kept are for plans of more than _CACHE_TASKS updates in all, the oldest
-    go first; a result over the bound on its own is not kept."""
+    """build(plan, n, workers), cached on its arguments, with workers as the
+    number that own a cell, so that equal layouts share one entry. Once the
+    results kept are for plans of more than _CACHE_TASKS updates in all, the
+    oldest go first; a result over the bound on its own is not kept."""
     kept: dict = {}  # (plan, n, workers) -> (result, tasks), oldest first
     held = 0  # the tasks of the results kept
     lock = threading.Lock()  # taken to change kept; one dict read needs none
@@ -325,6 +333,7 @@ def _cached_by_tasks(build: Callable) -> Callable:
     @functools.wraps(build)
     def cached(plan: Plan, n: int, workers: int):
         nonlocal held
+        workers = _owning(n, workers)
         key = plan, n, workers
         if (hit := kept.get(key)) is not None:
             return hit[0]
@@ -400,8 +409,8 @@ def _programs(plan: Plan, n: int, workers: int) -> tuple[tuple, int]:
         if needs := [lock.setdefault(d, len(lock)) for d in deps[starts[k - 1]:starts[k]]
                      if owners[d - 1] != owner]:
             waits[k] = tuple(needs)
-    owning = -(-n // -(-n // workers)) if n else 0  # the workers that own a cell
-    steps: list[list] = [[] for _ in range(owning + 1)]  # [waits, updates, release]
+    # The cache passes the workers that own a cell: for n = 0, none.
+    steps: list[list] = [[] for _ in range(workers + 1 if n else 1)]  # [waits, updates, release]
     for k, (owner, update) in enumerate(zip(owners, _updates(plan)), start=1):
         mine = steps[owner]
         if k in waits or not mine or mine[-1][2] is not None:

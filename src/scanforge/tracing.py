@@ -11,9 +11,13 @@ Every trace has one row format: int columns of first reads, second reads
 and writes. _columns reads them from a plan, whose recorder has checked every
 row, and _rows, the one row rule, from rows that come from anywhere else:
 histories, trace files and a layout's history on its n lines. One JSON writer
-(_json_rows), render's one SVG writer and verify's one race check consume
+(_json_pieces), render's one SVG writer and verify's one race check consume
 these columns with their stage depths; only readers that use the depths
-compute them.
+compute them. Both writers stream: they read the columns in blocks of
+_BLOCK rows (_blocks) and yield a piece of text per block, and a plan's
+blocks are cut from its lazy columns (_lazy_columns), read from its
+segments. So a document is written without its whole text, and a plan's
+without its whole columns.
 
 The stage rule has two readers. _depths is its definition on rows, for rows
 from outside a plan. _stages reads it from a plan a segment at a time, by
@@ -21,8 +25,8 @@ arithmetic on the segment's seven numbers: row k >= 1 of a segment starts a
 stage iff a + k*da <= w + (k-1)*dw or b + k*db <= w + (k-1)*dw. Each side is
 linear in k, so the rows that start no stage are one run, and the rest are
 a prefix and a suffix of the segment (Sheeran, JFP 2011, describes prefix
-networks by such regular pieces). _plan_depths builds a plan's depth column
-from it with range and repeat, and verify's race check stages a plan by it
+networks by such regular pieces). _segment_depths reads a plan's depths
+from it as ranges and repeats, and verify's race check stages a plan by it
 without building the plan's columns.
 """
 
@@ -31,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import attrgetter, itemgetter, le
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -48,15 +52,30 @@ TraceHistory = list[Transaction]
 _as_row = attrgetter("reads", "write")  # a Transaction as its (reads, write) row
 
 
+_BLOCK = 8192  # rows per block of a streamed document
+
+
+def _lazy_columns(plan: Plan) -> tuple[Iterator[int], ...]:
+    """The plan's rows as four lazy columns: first reads, second reads and
+    writes, 1-based, and stage depths, each read a segment at a time."""
+    def column(i: int) -> Iterator[int]:
+        return chain.from_iterable(_progression(segment[i] + 1, segment[i + 3], segment[6])
+                                   for segment in plan)
+
+    return column(0), column(1), column(2), chain.from_iterable(_segment_depths(plan))
+
+
 def _columns(plan: Plan) -> tuple[list[int], list[int], list[int]]:
     """The plan's updates as 1-based columns: first reads, second reads and
-    writes, each built a segment at a time."""
-    firsts, seconds, writes = [], [], []
-    for a, b, w, da, db, dw, count in plan:
-        firsts += _progression(a + 1, da, count)
-        seconds += _progression(b + 1, db, count)
-        writes += _progression(w + 1, dw, count)
-    return firsts, seconds, writes
+    writes."""
+    return tuple(map(list, _lazy_columns(plan)[:3]))
+
+
+def _blocks(*columns: Iterable[int]) -> Iterator[tuple[list[int], ...]]:
+    """The columns, _BLOCK rows at a time: a tuple of lists per block."""
+    columns = tuple(map(iter, columns))
+    while (block := tuple(list(islice(column, _BLOCK)) for column in columns))[0]:
+        yield block
 
 
 def _depths(firsts: Iterable[int], seconds: Iterable[int], writes: Iterable[int]) -> list[int]:
@@ -99,15 +118,27 @@ def _stages(plan: Plan) -> Iterator[tuple[int, int, int]]:
         last = w + (count - 1) * dw
 
 
-def _plan_depths(plan: Plan) -> list[int]:
-    """_depths(*_columns(plan)), read from the plan's segments."""
-    depths: list[int] = []
+def _segment_depths(plan: Plan) -> Iterator[Iterable[int]]:
+    """The depths of the plan's rows, by _stages, as three progressions per
+    segment."""
     for (*_, count), (depth, lo, hi) in zip(plan, _stages(plan)):
         top = depth + lo - 1
-        depths += range(depth, top + 1)
-        depths += repeat(top, hi - lo + 1)
-        depths += range(top + 1, top + count - hi)
-    return depths
+        yield range(depth, top + 1)
+        yield repeat(top, hi - lo + 1)
+        yield range(top + 1, top + count - hi)
+
+
+def _plan_depths(plan: Plan) -> list[int]:
+    """_depths(*_columns(plan)), read from the plan's segments."""
+    return list(chain.from_iterable(_segment_depths(plan)))
+
+
+def _plan_max_depth(plan: Plan) -> int:
+    """The depth of the plan's last row, its deepest, by _stages; 0 for no rows."""
+    last = 0
+    for (*_, count), (depth, lo, hi) in zip(plan, _stages(plan)):
+        last = depth + lo - 1 + count - 1 - hi
+    return last
 
 
 def _rows(rows: Iterable[tuple], n: Optional[int] = None) -> tuple[list[int], ...]:
@@ -165,30 +196,33 @@ def dag_depths(history: Iterable[Transaction]) -> list[tuple[Transaction, int]]:
     return [(t, depth) for t, (_, _, depth) in zip(history, walk)]
 
 
-def _json_rows(firsts: Iterable[int], seconds: Iterable[int], writes: Iterable[int],
-               depths: Iterable[int]) -> str:
-    """The trace JSON of the rows (firsts[k], seconds[k], writes[k], depths[k]).
+def _json_pieces(blocks: Iterable[tuple[list[int], ...]]) -> Iterator[str]:
+    """The trace JSON of the rows in blocks of columns (firsts, seconds,
+    writes, depths), a piece per block.
 
     The text is json.dumps(rows, indent=2) for integer indices, written here
     with one f-string per row: with indent set, json encodes in pure Python,
     one call per token.
     """
-    rows = ",\n".join([f'  {{\n    "reads": [\n      {a},\n      {b}\n    ],\n'
-                       f'    "write": {w},\n    "depth": {d}\n  }}'
-                       for a, b, w, d in zip(firsts, seconds, writes, depths)])
-    return "[\n" + rows + "\n]" if rows else "[]"
+    head = "[\n"
+    for firsts, seconds, writes, depths in blocks:
+        yield head + ",\n".join([f'  {{\n    "reads": [\n      {a},\n      {b}\n    ],\n'
+                                  f'    "write": {w},\n    "depth": {d}\n  }}'
+                                  for a, b, w, d in zip(firsts, seconds, writes, depths)])
+        head = ",\n"
+    yield "[]" if head == "[\n" else "\n]"
 
 
 def trace_to_json(history: TraceHistory) -> str:
     """Stable JSON form: [{"reads": [a, b], "write": i, "depth": d}, ...]."""
     columns = _rows(map(_as_row, history))
-    return _json_rows(*columns, _depths(*columns))
+    return "".join(_json_pieces(_blocks(*columns, _depths(*columns))))
 
 
-def _plan_json(kernel: ScanKernel | Callable, n: int) -> str:
-    """trace_to_json(run_traced(kernel, n)), read from the plan's columns."""
-    plan = _kernel_plan(kernel, n)
-    return _json_rows(*_columns(plan), _plan_depths(plan))
+def _plan_json(kernel: ScanKernel | Callable, n: int) -> Iterator[str]:
+    """The pieces of trace_to_json(run_traced(kernel, n)), from the plan a
+    block at a time; the plan is recorded before the first piece."""
+    return _json_pieces(_blocks(*_lazy_columns(_kernel_plan(kernel, n))))
 
 
 def _trace_rows(text: str, n: Optional[int] = None) -> tuple[list[int], ...]:

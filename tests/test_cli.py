@@ -5,8 +5,11 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mutants
-from scanforge.cli import UsageError, _parse_p_range, main, parse_elements
+import render_oracle
+from scanforge.cli import UsageError, _atomic_write, _parse_p_range, main, parse_elements
 from scanforge.kernels import KERNEL_NAMES, get_kernel
 from scanforge.render import layout, svg_string
 from scanforge import kernels, render
 from scanforge.runtime import MAX_N, MAX_WORKERS
-from scanforge.tracing import run_traced, trace_to_json
+from scanforge.tracing import _BLOCK as BLOCK, infer_depths, run_traced, trace_to_json
 from scanforge.verify import IDENTITY, Range, race_check_history, verify_race_free
 from test_executors import oblivious, updates
 
@@ -378,3 +382,123 @@ def test_plan_path_equals_the_history_path(name, n, chunks, data):
             assert main(["render"] + argv + ["--viewport", spec, "--out", svg]) == 0
             with open(svg) as f:
                 assert f.read() == svg_string(layout(history, n), viewport)
+
+
+def package_env():
+    """The environment of a new interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def fresh_process(argv, cwd):
+    """scanforge's exit status, stdout and stderr for argv, run in a new
+    interpreter."""
+    done = subprocess.run([sys.executable, "-m", "scanforge.cli", *argv], cwd=cwd,
+                          env=package_env(), capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def this_process(argv, capsys):
+    try:
+        status = main(argv)
+    except SystemExit as e:  # --help
+        status = e.code
+    out, err = capsys.readouterr()
+    return status, out, err
+
+
+def test_the_shared_parser_keeps_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    # main used to build its parser on every call; now one parser serves
+    # them all, so each call must parse as a first call in a new process.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to one width in both processes
+    bk = ["--kernel", "brent-kung", "--n", "8"]
+    calls = [
+        ["render", *bk, "--viewport", "317x1999", "--out", "wide.svg"],
+        ["render", *bk, "--out", "default.svg"],
+        ["trace", *bk, "--out", "f.json"],
+        ["trace", *bk],
+        ["bench", "--p-range", "1"],
+        ["bench", "--virtual-clock", "--p-range", "4,8"],
+        ["--help"],
+        ["--help"],
+    ]
+    here = [this_process(argv, capsys) for argv in calls]
+    files = {name: Path(name).read_bytes() for name in ("wide.svg", "default.svg", "f.json")}
+    for name in files:
+        os.unlink(name)
+    assert [status for status, _, _ in here] == [0, 0, 0, 0, 2, 0, 0, 0]
+    for argv, got in zip(calls, here):
+        assert got == fresh_process(argv, tmp_path), argv
+    for name, data in files.items():
+        assert Path(name).read_bytes() == data, name
+    assert files["default.svg"] == (GOLDENS / "brent_kung_8.svg").read_bytes()
+    assert here[-1] == here[-2]
+
+
+def test_trace_to_a_reader_that_stops_early_ends_quietly():
+    # Streamed, the pieces after the reader has gone met a closed pipe:
+    # "error: [Errno 32] Broken pipe" and exit 2, where the text written
+    # whole had ended with exit 0.
+    with subprocess.Popen([sys.executable, "-m", "scanforge.cli", "trace", "--kernel", "serial",
+                           "--n", "100000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=package_env()) as child:
+        assert child.stdout.read(10) == b'[\n  {\n    '
+        child.stdout.close()
+        _, err = child.communicate(timeout=120)
+    assert (child.returncode, err) == (0, b"")
+
+
+@pytest.mark.parametrize("kernel, n, gates", [
+    ("brent-kung", 100, 190), ("serial", BLOCK + 1, BLOCK), ("serial", BLOCK + 2, BLOCK + 1),
+    ("brent-kung", 9000, 17981),
+], ids=["under-one-block", "one-block", "one-block-and-a-gate", "three-blocks"])
+def test_streamed_documents_equal_the_library_strings(tmp_path, capsys, kernel, n, gates):
+    history = run_traced(get_kernel(kernel), n)
+    assert len(history) == gates
+    svg, trace = tmp_path / "k.svg", tmp_path / "k.json"
+    argv = ["--kernel", kernel, "--n", str(n)]
+    assert main(["render", *argv, "--out", str(svg)]) == 0
+    diagram = layout(history, n)
+    assert svg.read_text() == svg_string(diagram) == render_oracle.svg_string(diagram)
+    assert main(["trace", *argv, "--out", str(trace)]) == 0
+    want = trace_to_json(history) + "\n"
+    assert want == json.dumps([{"reads": list(t.reads), "write": t.write, "depth": d}
+                               for t, d in infer_depths(history)], indent=2) + "\n"
+    assert trace.read_text() == want
+    assert main(["trace", *argv]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_a_writer_that_fails_midway_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def fails_after_one_piece(*args):
+        yield "<svg"
+        raise ValueError("the writer failed")
+
+    fresh, kept = tmp_path / "fresh.svg", tmp_path / "kept.svg"
+    kept.write_text("old")
+    for out in (fresh, kept):
+        with pytest.raises(ValueError, match="the writer failed"):
+            _atomic_write(str(out), fails_after_one_piece())
+    monkeypatch.setattr(render, "_svg", fails_after_one_piece)
+    for out in (fresh, kept):
+        assert main(["render", "--kernel", "serial", "--n", "4", "--out", str(out)]) == 2
+        assert "the writer failed" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.svg"]
+    assert kept.read_text() == "old"
+
+
+def test_render_streams_in_bounded_memory(tmp_path):
+    # The document was built whole before it was written: more than twice
+    # its 80 MB at n=65536. Streamed, a block of gates is held at a time.
+    out = tmp_path / "bk.svg"
+    tracemalloc.start()
+    try:
+        assert main(["render", "--kernel", "brent-kung", "--n", "65536", "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 75_000_000
+    assert peak < size / 4

@@ -122,3 +122,9 @@ def test_svg_string_equals_the_reference_renderer(size_gates, viewport):
     (width, max_depth), gates = size_gates
     d = Diagram(width=width, max_depth=max_depth, gates=gates)
     assert svg_string(d, viewport) == render_oracle.svg_string(d, viewport)
+
+
+def test_only_the_depths_of_gates_are_formatted():
+    # A y per level in 1..max_depth would format 10**9 levels here.
+    d = Diagram(width=2, max_depth=10**9, gates=[Gate((1, 2), (2,), 1), Gate((1, 2), (1,), 10**9)])
+    assert svg_string(d) == render_oracle.svg_string(d, (600, 400))

@@ -103,3 +103,28 @@ def test_programs_equal_the_cut_from_task_nodes(kernel):
             want, want_locks = programs_oracle._programs(plan, n, workers)
             assert (programs, locks) == (want[:held], want_locks)
             assert not any(want[held:])
+
+
+def test_equal_layouts_share_one_cache_entry():
+    # 4096 and 5000 workers both give each of 4096 workers one cell; the
+    # cache used to build and keep the same graph under each count.
+    _schedule.cache_clear()
+    graph = build_task_graph(BRENT_KUNG, 4096, 4096)
+    assert _schedule.cache_info().entries == 1
+    assert build_task_graph(BRENT_KUNG, 4096, 5000) is graph
+    assert _schedule.cache_info().entries == 1
+    plan = _kernel_plan(BRENT_KUNG, 4096)
+    assert _programs(plan, 4096, 5000) is _programs(plan, 4096, 4096)
+
+
+@pytest.mark.parametrize("kernel", [SERIAL, BRENT_KUNG, scan_then_fan_kernel(8)],
+                         ids=["serial", "brent-kung", "scan-then-fan-8"])
+def test_a_worker_count_builds_the_graph_of_the_workers_that_own_a_cell(kernel):
+    build = _schedule.__wrapped__  # uncached, so each count builds its own graph
+    for n in range(1, 65):
+        plan = _kernel_plan(kernel, n)
+        for workers in range(1, n + 4):
+            owning = len({i // -(-n // workers) for i in range(n)})
+            got, want = build(plan, n, workers), build(plan, n, owning)
+            assert (got.owners, got.starts, got.deps, got.depth) == \
+                (want.owners, want.starts, want.deps, want.depth), (n, workers)
