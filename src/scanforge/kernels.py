@@ -214,6 +214,27 @@ def _segments(updates: Iterable[tuple[int, int, int]], n: int) -> Plan:
     return _record(fn, n)
 
 
+def _join(runs: Iterable[tuple]) -> Plan:
+    """The plan that _segments records from the updates of the runs, each a
+    segment (a, b, w, da, db, dw, count), by the recorder's greedy rule on
+    whole runs: an open segment takes any second update, which fixes its
+    steps, and after that each update that is its last plus its steps."""
+    out: list[list[int]] = []  # [a, b, w, da, db, dw, count], as _PlanRecorder keeps them
+    for a, b, w, da, db, dw, count in runs:
+        while count:
+            take, seg = 1, out[-1] if out else None
+            if seg is not None and seg[6] == 1:
+                seg[3:] = a - seg[0], b - seg[1], w - seg[2], 2
+            elif seg is not None and (a, b, w) == (seg[0] + seg[3] * seg[6], seg[1] + seg[4] * seg[6],
+                                                   seg[2] + seg[5] * seg[6]):
+                take = count if (da, db, dw) == (seg[3], seg[4], seg[5]) else 1
+                seg[6] += take
+            else:
+                out.append([a, b, w, 0, 0, 0, 1])
+            a, b, w, count = a + take * da, b + take * db, w + take * dw, count - take
+    return tuple(map(tuple, out))
+
+
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(kernel: "ScanKernel", n: int) -> Plan:
     """The kernel's update stream at length n, recorded once per (kernel, n)."""

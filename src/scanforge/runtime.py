@@ -17,12 +17,14 @@ worker programs cut from them are cached per (plan, n, workers), oldest
 first out, while each cache holds at most _CACHE_TASKS tasks.
 
 Workers are in-process threads, not OS processes; the wait on a
-dependency, not the transport, is what matters here. Worker threads start
-lazily, when a call needs more than are idle, and are kept idle between
-calls. A call holds its workers alone: no other call submits to them until
-it has ended. At most MAX_WORKERS idle workers are kept, and a forked child
-starts with none. A virtual-clock mode reads exact tick counts from the
-same schedule without threads.
+dependency, not the transport, is what matters here. The calling thread
+runs worker 1's program itself and pool threads run the others', so a call
+on one worker starts no thread. Pool threads start lazily, when a call
+needs more than are idle, and are kept idle between calls. A call holds its
+workers alone: no other call submits to them until it has ended. At most
+MAX_WORKERS idle workers are kept, and a forked child starts with none. A
+virtual-clock mode reads exact tick counts from the same schedule without
+threads.
 """
 
 from __future__ import annotations
@@ -34,14 +36,16 @@ import os
 import threading
 import time
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from queue import SimpleQueue
 from typing import Any, Callable, Iterable, Sequence
 
-from .kernels import (Plan, ScanKernel, _kernel_plan, _passes, _replay, _run_pass, _segments,
-                      _updates, _walk)
+from .kernels import (Plan, ScanKernel, _join, _kernel_plan, _passes, _replay, _run_pass, _updates,
+                      _walk)
 from .ops import AssocOp
 
 WORKERS_ENV = "SCANFORGE_WORKERS"
@@ -87,14 +91,14 @@ if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
     os.register_at_fork(after_in_child=_forget_idle)
 
 
-def _check_workers(workers: int, threads: bool = True) -> int:
-    """workers as an int >= 1, and at most MAX_WORKERS if they are threads."""
+def _check_workers(workers: int, threads: bool = True, least: int = 1) -> int:
+    """workers as an int >= least, and at most MAX_WORKERS if they are threads."""
     try:
         workers = operator.index(workers)
     except TypeError:
         raise TypeError(f"workers must be an int, got {workers!r}") from None
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if workers < least:
+        raise ValueError(f"workers must be >= {least}")
     if threads and workers > MAX_WORKERS:
         raise ValueError(f"workers must be <= MAX_WORKERS ({MAX_WORKERS}), got {workers}")
     return workers
@@ -102,7 +106,8 @@ def _check_workers(workers: int, threads: bool = True) -> int:
 
 class Cluster:
     """FIFO worker threads, numbered from 1, that run jobs: idle workers
-    taken from the free list, and new ones for the shortfall.
+    taken from the free list, and new ones for the shortfall; none at all
+    for a cluster of no workers.
 
     The cluster holds its workers alone, so jobs of two clusters never queue
     on one worker, where each could wait on a lock that a job queued behind
@@ -112,7 +117,7 @@ class Cluster:
     """
 
     def __init__(self, workers: int):
-        workers = _check_workers(workers)
+        workers = _check_workers(workers, least=0)
         with _idle_lock:
             rest = max(0, len(_idle) - workers)
             self.workers = _idle[rest:]
@@ -170,10 +175,13 @@ def run_parallel_detailed(
 
     The graph is the plan's cached schedule, the one `run_virtual` and
     `build_task_graph` read; the workers run the steps `_programs` cuts from
-    it, one thread for each worker that owns a cell, none for no values. A
-    call runs only once every task it depends on has run, so it gets the
-    serial run's operands. If calls fail, the one first in plan order is
-    raised: the error that the plan's replay raises.
+    it. The calling thread runs worker 1's program itself and a pool thread
+    each other worker's that owns a cell, so a call on one worker, or on at
+    most one value, starts no thread. A call runs only once
+    every task it depends on has run, so it gets the serial run's operands.
+    If calls fail, the one first in plan order is raised: the error that the
+    plan's replay raises. An error that is not an Exception, such as
+    KeyboardInterrupt or SystemExit, is raised before any that is.
     """
     workers = _check_workers(workers)
     n = len(values)
@@ -184,19 +192,41 @@ def run_parallel_detailed(
     done = [threading.Lock() for _ in range(locks)]  # held until its task has run or been skipped
     for lock in done:
         lock.acquire()
-    skipped = [False] * locks  # set before the release of a lock whose task never ran
+    skipped: list = [None] * locks  # whether its task never ran, set just before its release
     failures: list = []  # (worker, position in its program, error) of each failed call
     f = op.fn if type(op) is AssocOp else op
     if programs:
-        with Cluster(len(programs)) as cluster:  # shutdown() returns once every program has ended
-            for worker, steps in enumerate(programs, start=1):
-                cluster.submit(worker, functools.partial(_run_steps, steps, data, done, skipped,
-                                                         failures, worker, f))
+        mine, *theirs = programs
+        with Cluster(len(theirs)) as cluster:  # shutdown() returns once every job has ended
+            sent = 0  # programs given to pool threads
+            try:
+                queues = [w.queue for w in cluster.workers]
+                for worker, (queue, steps) in enumerate(zip(queues, theirs), start=2):
+                    job = functools.partial(_run_steps, steps, data, done, skipped, failures,
+                                            worker, f)
+                    sent += 1
+                    queue.put(job)
+                _run_steps(mine, data, done, skipped, failures, 1, f)
+            except BaseException:
+                # An interrupt: release the locks still held by the programs
+                # that no thread runs any more, so that no pool thread waits
+                # for ever. A signal's handler runs at a call or a backward
+                # jump, never between a count and its put (so the jobs go on
+                # the queues directly, not through submit()), nor between a
+                # store to skipped and its release: a lock whose entry is
+                # None is still held.
+                for steps in (mine, *theirs[sent:]):
+                    for _, _, release in steps:
+                        if release is not None and skipped[release] is None:
+                            skipped[release] = True
+                            done[release].release()
+                raise
     if failures:
         tasks: list[list[int]] = [[] for _ in range(len(programs) + 1)]  # each worker's, in order
         for k, owner in enumerate(graph.owners, start=1):
             tasks[owner].append(k)
-        failures.sort(key=lambda failure: tasks[failure[0]][failure[1]])
+        failures.sort(key=lambda failure: (isinstance(failure[2], Exception),
+                                           tasks[failure[0]][failure[1]]))
         raise failures.pop(0)[2]  # not kept in this frame, which its traceback holds
     return data, graph
 
@@ -217,7 +247,7 @@ def _run_steps(steps: tuple, data: list, done: list, skipped: list, failures: li
             out: list = []
             try:
                 _run_pass(data, f, out, *pass_)
-            except BaseException as exc:  # the caller raises the first in plan order
+            except BaseException as exc:  # the caller chooses which failure to raise
                 failures.append((worker, calls + len(out), exc))
                 stopped = True
                 break
@@ -400,7 +430,8 @@ def _programs(plan: Plan, n: int, workers: int) -> tuple[tuple, int]:
     from the plan's task graph, and the number of locks: one per task that
     another worker waits for. A step starts at a task that waits on another
     worker's and ends after a task that another worker's waits on; waits and
-    release are lock indices."""
+    release are lock indices. A step's updates within one plan segment are
+    runs of that segment, joined into passes by arithmetic."""
     graph = _schedule(plan, n, workers)
     owners, starts, deps = graph.owners.tolist(), graph.starts.tolist(), graph.deps.tolist()
     waits: dict[int, tuple[int, ...]] = {}  # task -> the locks it waits on
@@ -409,17 +440,26 @@ def _programs(plan: Plan, n: int, workers: int) -> tuple[tuple, int]:
         if needs := [lock.setdefault(d, len(lock)) for d in deps[starts[k - 1]:starts[k]]
                      if owners[d - 1] != owner]:
             waits[k] = tuple(needs)
+    cuts = sorted({*waits, *(k + 1 for k in lock)})  # a run of one worker's tasks breaks here
     # The cache passes the workers that own a cell: for n = 0, none.
-    steps: list[list] = [[] for _ in range(workers + 1 if n else 1)]  # [waits, updates, release]
-    for k, (owner, update) in enumerate(zip(owners, _updates(plan)), start=1):
-        mine = steps[owner]
-        if k in waits or not mine or mine[-1][2] is not None:
-            mine.append([waits.get(k, ()), [], None])
-        mine[-1][1].append(update)
-        if k in lock:
-            mine[-1][2] = lock[k]
-    programs = tuple(tuple((ws, tuple(_passes(_segments(ups, n))), release)
-                           for ws, ups, release in mine) for mine in steps[1:])
+    steps: list[list] = [[] for _ in range(workers + 1 if n else 1)]  # [waits, runs, release]
+    first = 1  # the task of the segment's first update
+    for a, b, w, da, db, dw, count in plan:
+        end = first
+        for owner, tasks in groupby(owners[first - 1:first - 1 + count]):
+            start, end = end, end + len(list(tasks))
+            mine = steps[owner]
+            for cut in cuts[bisect_right(cuts, start):bisect_left(cuts, end)] + [end]:
+                if start in waits or not mine or mine[-1][2] is not None:
+                    mine.append([waits.get(start, ()), [], None])
+                i = start - first
+                mine[-1][1].append((a + i * da, b + i * db, w + i * dw, da, db, dw, cut - start))
+                if cut - 1 in lock:
+                    mine[-1][2] = lock[cut - 1]
+                start = cut
+        first = end
+    programs = tuple(tuple((ws, tuple(_passes(_join(runs))), release)
+                           for ws, runs, release in mine) for mine in steps[1:])
     return programs, len(lock)
 
 

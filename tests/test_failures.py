@@ -167,6 +167,18 @@ def test_of_two_failures_the_first_in_plan_order_is_raised(workers):
     assert outcomes(BRENT_KUNG, list("abcdefgh"), op, workers) == [("raised", ("g", "h"))] * 4
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("bad, first", [
+    ({("a", "b"), ("e", "f")}, ("a", "b")),
+    ({("e", "f"), ("ab", "c")}, ("e", "f")),
+], ids=["calling-thread-first", "pool-thread-first"])
+def test_a_failure_on_the_calling_thread_is_ordered_with_the_others(workers, bad, first):
+    # The calling thread runs worker 1's program: on 2 workers ("a", "b") and
+    # ("ab", "c") are its calls and ("e", "f") is a pool thread's.
+    op = failing_concat(bad)
+    assert outcomes(BRENT_KUNG, list("abcdefgh"), op, workers) == [("raised", first)] * 4
+
+
 def test_failed_runs_under_frequent_thread_switches():
     # Random failing runs with a tiny switch interval: a worker that ran a
     # call before the task it depends on, or skipped the first failed call,

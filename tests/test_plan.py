@@ -19,11 +19,13 @@ from scanforge.kernels import (
     SERIAL,
     ContractError,
     ScanKernel,
+    _join,
     _plan,
     _record,
     _replay,
     _run_pass,
     _segment_path,
+    _segments,
     _updates,
     chunk_schedule,
     get_kernel,
@@ -272,6 +274,24 @@ def segments(draw, n):
 def test_replay_runs_random_segments_like_the_loop(plan, pass_size, seed):
     with mock.patch.object(kernels, "_PASS", pass_size):
         check_replay_against_oracle(tuple(plan), 24, seed)
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.lists(segments(n), max_size=5))),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_joined_runs_are_the_plan_the_recorder_records(n_plan, data):
+    # Each segment cut into runs at random points: the join must merge the
+    # runs of one segment again, and runs of segments that continue each
+    # other, or whose first update extends a one-update segment, as the
+    # recorder does one update at a time.
+    n, plan = n_plan
+    runs = []
+    for a, b, w, da, db, dw, count in plan:
+        cuts = sorted(data.draw(st.sets(st.integers(1, count - 1), max_size=3), label="cuts")
+                      if count > 1 else ())
+        for lo, hi in zip([0, *cuts], [*cuts, count]):
+            runs.append((a + lo * da, b + lo * db, w + lo * dw, da, db, dw, hi - lo))
+    assert _join(runs) == _segments(_updates(tuple(runs)), n)
 
 
 @given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), updates(n))),

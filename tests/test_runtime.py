@@ -210,10 +210,14 @@ def test_worker_cap_is_refused_before_any_thread_starts():
 
 def test_threads_start_only_for_workers_that_own_a_cell():
     # 256 workers on 3 values used to start 256 threads and run 253 empty programs.
+    # The calling thread runs worker 1's program, so a call on one worker starts none.
     before = threading.active_count()
+    for vals in ([], [1, 2, 3], list(range(1, 65))):
+        assert run_parallel(BRENT_KUNG, vals, add, 1) == list(accumulate(vals))
+    assert threading.active_count() == before
     assert run_parallel(BRENT_KUNG, [1, 2, 3], add, 256) == list(accumulate([1, 2, 3]))
     assert run_parallel(BRENT_KUNG, [], add, 256) == []
-    assert threading.active_count() - before <= 3
+    assert threading.active_count() - before <= 2
 
 
 def test_schedule_caches_are_bounded_by_tasks(monkeypatch):
@@ -441,8 +445,8 @@ def test_a_failed_run_gives_back_reusable_workers(idle):
     vals = list(range(1, 17))
     with pytest.raises(ValueError, match="first call"):
         run_parallel(SERIAL, vals, first_call_fails, 3)
-    threads = {w.thread for w in idle}
-    assert len(threads) == 3 and all(t.is_alive() for t in threads)
+    threads = {w.thread for w in idle}  # the calling thread ran worker 1's program
+    assert len(threads) == 2 and all(t.is_alive() for t in threads)
     assert run_parallel(BRENT_KUNG, vals, add, 3) == list(accumulate(vals))
     assert {w.thread for w in idle} == threads
 
@@ -451,7 +455,8 @@ def test_idle_workers_are_at_most_the_largest_count(idle, monkeypatch):
     vals = list(range(1, 33))
     for workers in (1, 4, 2, 8, 3, 8):
         assert run_parallel(BRENT_KUNG, vals, add, workers) == list(accumulate(vals))
-    assert len(idle) == 8 and all(w.thread.is_alive() for w in idle)
+    # The calling thread runs worker 1's program: 8 workers hold 7 pool threads.
+    assert len(idle) == 7 and all(w.thread.is_alive() for w in idle)
     # Beyond MAX_WORKERS idle workers, the ones given back stop.
     stop_and_join(idle[:])
     idle.clear()
@@ -487,6 +492,69 @@ def test_an_interrupted_shutdown_stops_its_workers(idle):
     for t in threads:  # the _STOP that shutdown sent ends them
         t.join(timeout=10)
         assert not t.is_alive()
+
+
+def back_to_front(store, op):
+    """On 4 values and 2 workers: task 1 runs on worker 2, task 2 on worker 1
+    (the calling thread) waits on it, and task 3 on worker 2 waits on task 2."""
+    store.put(4, op(store.get(3), store.get(4)))
+    store.put(2, op(store.get(4), store.get(2)))
+    store.put(3, op(store.get(2), store.get(3)))
+    return store
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no signal.pthread_kill")
+def test_an_interrupted_caller_leaves_no_worker_waiting(idle):
+    # Interrupted while it waits on worker 2's slow call, the calling thread
+    # must still release task 2's lock, marked skipped: else worker 2 would
+    # wait on it for ever, and the caller's shutdown on worker 2.
+    assert threading.current_thread() is threading.main_thread()
+    main, calls = threading.main_thread().ident, []
+
+    def interrupting_add(a, b):
+        calls.append((a, b))
+        if len(calls) == 1:  # worker 2's task 1, which the calling thread waits on
+            time.sleep(0.2)
+            signal.pthread_kill(main, signal.SIGINT)
+            time.sleep(0.3)
+        return a + b
+
+    # A hung shutdown gets a second interrupt, so that the test fails, not hangs.
+    watchdog = threading.Timer(20, signal.pthread_kill, (main, signal.SIGINT))
+    watchdog.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_parallel(back_to_front, [1, 2, 3, 4], interrupting_add, 2)
+    finally:
+        watchdog.cancel()
+        watchdog.join(timeout=10)
+    assert calls == [(3, 4)]  # task 3 saw task 2 skipped
+    assert len(idle) == 1 and idle[0].thread.is_alive()  # shutdown waited for its job
+    assert run_parallel(back_to_front, [1, 2, 3, 4], add, 2) == [1, 9, 12, 7]
+
+
+def one_update_each(store, op):
+    """On 4 values and 2 workers: task 1 runs on worker 2, task 2 on worker 1."""
+    store.put(4, op(store.get(3), store.get(4)))
+    store.put(2, op(store.get(1), store.get(2)))
+    return store
+
+
+@pytest.mark.parametrize("stop", [KeyboardInterrupt, SystemExit])
+@pytest.mark.parametrize("stopped_worker", [1, 2])
+def test_an_error_that_is_not_an_exception_is_raised_before_any_that_is(
+        idle, stop, stopped_worker):
+    # An operator's KeyboardInterrupt on the calling thread used to count as
+    # a failed call, and worker 2's ValueError, first in plan order, hid it.
+    pairs = {1: (1, 2), 2: (3, 4)}  # each worker's one call
+
+    def op(a, b):
+        raise stop() if (a, b) == pairs[stopped_worker] else ValueError(a, b)
+
+    with pytest.raises(stop):
+        run_parallel(one_update_each, [1, 2, 3, 4], op, 2)
+    assert len(idle) == 1 and idle[0].thread.is_alive()
+    assert run_parallel(one_update_each, [1, 2, 3, 4], add, 2) == [1, 3, 3, 7]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")

@@ -105,6 +105,18 @@ def test_programs_equal_the_cut_from_task_nodes(kernel):
             assert not any(want[held:])
 
 
+@given(st.integers(min_value=1, max_value=24), st.data())
+@settings(max_examples=200, deadline=None)
+def test_programs_of_any_updates_equal_the_cut_from_task_nodes(n, data):
+    # Writes that move cells between workers cut a step's updates into runs
+    # of one update, which the join must merge as the recorder would.
+    plan = _kernel_plan(oblivious(data.draw(any_updates(n), label="updates")), n)
+    workers = data.draw(st.integers(min_value=1, max_value=n + 1), label="workers")
+    held = len({i // -(-n // workers) for i in range(n)})  # workers that own a cell
+    want, want_locks = programs_oracle._programs(plan, n, workers)
+    assert _programs(plan, n, workers) == (want[:held], want_locks)
+
+
 def test_equal_layouts_share_one_cache_entry():
     # 4096 and 5000 workers both give each of 4096 workers one cell; the
     # cache used to build and keep the same graph under each count.
