@@ -106,7 +106,8 @@ def scan_then_fan(store: ScanStore, op: Callable, chunks: int) -> ScanStore:
 
 class ContractError(Exception):
     """A kernel broke the store contract: between two puts it must make
-    exactly two reads, and put the operator applied to them in read order."""
+    exactly two reads, and put the operator applied to them in read order,
+    and every index it passes must be an int."""
 
 
 _PLAN_CACHE_SIZE = 64
@@ -178,6 +179,11 @@ class _PlanRecorder:
             self._start(a, b, i, key)
 
     def _start(self, a: int, b: int, w: int, key: int) -> None:
+        # Only here do indices enter the plan; an update that extends a
+        # segment is recorded as the segment's start plus its steps.
+        if not type(a) is type(b) is type(w) is int:
+            raise ContractError(f"the update put({w!r}, op(get({a!r}), get({b!r}))) "
+                                "has an index that is not an int")
         segments, r = self.segments, self.radix
         if self.count == 1:  # a segment's second update fixes its steps
             a0, b0, w0 = segments[-1][:3]

@@ -17,14 +17,18 @@ worker programs cut from them are cached per (plan, n, workers), oldest
 first out, while each cache holds at most _CACHE_TASKS tasks.
 
 Workers are in-process threads, not OS processes; the wait on a
-dependency, not the transport, is what matters here. The calling thread
-runs worker 1's program itself and pool threads run the others', so a call
-on one worker starts no thread. Pool threads start lazily, when a call
-needs more than are idle, and are kept idle between calls. A call holds its
-workers alone: no other call submits to them until it has ended. At most
-MAX_WORKERS idle workers are kept, and a forked child starts with none. A
-virtual-clock mode reads exact tick counts from the same schedule without
-threads.
+dependency, not the transport, is what matters here. Every other worker's
+program goes on a pool thread's queue; the calling thread runs worker 1's
+program, then, in order, every program that no pool thread has started
+(work first), so a call on one worker starts no thread and a call whose
+operator holds the GIL waits on no thread hand-off. Each program is taken
+exactly once, by the caller or by its pool thread. Pool threads start
+lazily, when a call needs more than are idle, and are kept idle between
+calls. A call holds its workers alone until it has ended: it waits for the
+pool threads that took a program, and gives back at once those whose
+program it took, whose pending job takes nothing. At most MAX_WORKERS idle
+workers are kept, and a forked child starts with none. A virtual-clock
+mode reads exact tick counts from the same schedule without threads.
 """
 
 from __future__ import annotations
@@ -111,9 +115,13 @@ class Cluster:
 
     The cluster holds its workers alone, so jobs of two clusters never queue
     on one worker, where each could wait on a lock that a job queued behind
-    the other releases. shutdown() waits until every submitted job has ended,
-    then gives the workers back, keeping at most MAX_WORKERS idle; if the
-    wait is interrupted, the workers stop once their jobs end instead.
+    the other releases. shutdown(busy) waits until every job submitted to
+    the workers numbered in busy (all of them by default) has ended, then
+    gives the workers back, keeping at most MAX_WORKERS idle; if the wait is
+    interrupted, the workers stop once their jobs end instead. A worker not
+    in busy goes back with its jobs still queued, so a job of a later
+    cluster may queue behind them: that is safe only for jobs that never
+    wait, such as a run_parallel job whose program the caller took.
     """
 
     def __init__(self, workers: int):
@@ -132,12 +140,13 @@ class Cluster:
     def submit(self, worker: int, job: Callable[[], None]) -> None:
         self.workers[worker - 1].queue.put(job)
 
-    def shutdown(self) -> None:
+    def shutdown(self, busy: Iterable[int] | None = None) -> None:
         workers, self.workers = self.workers, []
-        for w in workers:
+        waited = workers if busy is None else [workers[i - 1] for i in busy]
+        for w in waited:
             w.queue.put(w.ended.release)
         try:
-            for w in workers:
+            for w in waited:
                 w.ended.acquire()
         except BaseException:
             for w in workers:
@@ -148,12 +157,6 @@ class Cluster:
             _idle.extend(workers[:kept])
         for w in workers[kept:]:
             w.queue.put(_STOP)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.shutdown()
 
 
 def run_parallel(
@@ -175,13 +178,15 @@ def run_parallel_detailed(
 
     The graph is the plan's cached schedule, the one `run_virtual` and
     `build_task_graph` read; the workers run the steps `_programs` cuts from
-    it. The calling thread runs worker 1's program itself and a pool thread
-    each other worker's that owns a cell, so a call on one worker, or on at
-    most one value, starts no thread. A call runs only once
-    every task it depends on has run, so it gets the serial run's operands.
-    If calls fail, the one first in plan order is raised: the error that the
-    plan's replay raises. An error that is not an Exception, such as
-    KeyboardInterrupt or SystemExit, is raised before any that is.
+    it. Each worker that owns a cell has a program. Programs 2 and up go on
+    pool threads' queues at once; the calling thread runs program 1, then,
+    in order, each program that no pool thread has started yet, so a call
+    on one worker, or on at most one value, starts no thread. The call
+    waits only for the pool threads that took a program. A call runs only
+    once every task it depends on has run, so it gets the serial run's
+    operands. If calls fail, the one first in plan order is raised: the
+    error that the plan's replay raises. An error that is not an Exception,
+    such as KeyboardInterrupt or SystemExit, is raised before any that is.
     """
     workers = _check_workers(workers)
     n = len(values)
@@ -196,31 +201,39 @@ def run_parallel_detailed(
     failures: list = []  # (worker, position in its program, error) of each failed call
     f = op.fn if type(op) is AssocOp else op
     if programs:
-        mine, *theirs = programs
-        with Cluster(len(theirs)) as cluster:  # shutdown() returns once every job has ended
-            sent = 0  # programs given to pool threads
+        # worker -> whether the calling thread took its program; one
+        # setdefault takes a program, for the caller (True) or a pool thread
+        taken = {1: True}
+        # What the programs run on; emptied once the call has ended, so that
+        # a job still queued whose program the caller took holds none of it.
+        call = [data, done, skipped, failures, f]
+        cluster = Cluster(len(programs) - 1)
+        try:
             try:
-                queues = [w.queue for w in cluster.workers]
-                for worker, (queue, steps) in enumerate(zip(queues, theirs), start=2):
-                    job = functools.partial(_run_steps, steps, data, done, skipped, failures,
-                                            worker, f)
-                    sent += 1
-                    queue.put(job)
-                _run_steps(mine, data, done, skipped, failures, 1, f)
+                for worker in range(2, len(programs) + 1):  # pool worker k runs program k + 1
+                    cluster.submit(worker - 1, functools.partial(
+                        _take, taken, worker, programs[worker - 1], call))
+                for worker, steps in enumerate(programs, start=1):
+                    if taken.setdefault(worker, True):
+                        _run_steps(steps, worker, *call)
             except BaseException:
-                # An interrupt: release the locks still held by the programs
-                # that no thread runs any more, so that no pool thread waits
-                # for ever. A signal's handler runs at a call or a backward
-                # jump, never between a count and its put (so the jobs go on
-                # the queues directly, not through submit()), nor between a
-                # store to skipped and its release: a lock whose entry is
-                # None is still held.
-                for steps in (mine, *theirs[sent:]):
-                    for _, _, release in steps:
-                        if release is not None and skipped[release] is None:
-                            skipped[release] = True
-                            done[release].release()
+                # An interrupt: take every program no thread has taken, and
+                # release, marked skipped, the locks still held by those the
+                # caller took, so that no pool thread waits for ever. A
+                # signal's handler runs at a call or a backward jump, never
+                # between a store to skipped and its release: a lock whose
+                # entry is None is still held. A take is one C call whose
+                # result stays in taken, so no handler can lose it.
+                for worker, steps in enumerate(programs, start=1):
+                    if taken.setdefault(worker, True):
+                        for _, _, release in steps:
+                            if release is not None and skipped[release] is None:
+                                skipped[release] = True
+                                done[release].release()
                 raise
+        finally:
+            cluster.shutdown(worker - 1 for worker, mine in taken.items() if not mine)
+            call.clear()
     if failures:
         tasks: list[list[int]] = [[] for _ in range(len(programs) + 1)]  # each worker's, in order
         for k, owner in enumerate(graph.owners, start=1):
@@ -231,8 +244,15 @@ def run_parallel_detailed(
     return data, graph
 
 
-def _run_steps(steps: tuple, data: list, done: list, skipped: list, failures: list,
-               worker: int, f: Callable) -> None:
+def _take(taken: dict, worker: int, steps: tuple, call: list) -> None:
+    """A pool thread's job: run the worker's program on call unless the
+    calling thread has taken it, in which case the job returns at once."""
+    if not taken.setdefault(worker, False):
+        _run_steps(steps, worker, *call)
+
+
+def _run_steps(steps: tuple, worker: int, data: list, done: list, skipped: list,
+               failures: list, f: Callable) -> None:
     """One worker's program on the cells in place: each step waits on its
     locks, runs its passes through _run_pass and releases its lock. The worker
     stops at its first failed call, which it records, or at a wait on a task

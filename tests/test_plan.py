@@ -4,6 +4,7 @@ runs a segment as C-level passes where that makes the same operator calls
 as the per-update loop."""
 
 import random
+import threading
 from collections import Counter
 from itertools import accumulate
 from unittest import mock
@@ -33,8 +34,10 @@ from scanforge.kernels import (
     scan_serial,
 )
 from scanforge.ops import builtin_ops
+from scanforge.runtime import run_parallel
 from scanforge.stores import ListStore
 from scanforge.tracing import run_traced
+from scanforge.verify import verify_parallel
 
 import mutants
 from mutants import transposed_operands
@@ -155,6 +158,44 @@ def write_index_zero(store, op):
 def test_out_of_range_kernel_raises_index_error(fn):
     with pytest.raises(IndexError):
         ScanKernel(fn.__name__, fn)(ListStore([1, 2, 3]), OPS["add"])
+
+
+def first_update_reads(index):
+    """A serial scan whose first update, a segment's first, reads index for cell 1."""
+    def fn(store, op):
+        store.put(2, op(store.get(index), store.get(2)))
+        for i in range(3, len(store) + 1):
+            store.put(i, op(store.get(i - 1), store.get(i)))
+        return store
+    return fn
+
+
+def second_update_reads(index):
+    """Two updates whose second, the one that fixes the segment's steps, reads
+    index for cell 1."""
+    def fn(store, op):
+        store.put(2, op(store.get(1), store.get(2)))
+        store.put(4, op(store.get(index), store.get(4)))
+        return store
+    return fn
+
+
+@pytest.mark.parametrize("index", [1.0, 1.5, True], ids=["1.0", "1.5", "True"])
+@pytest.mark.parametrize("kernel", [first_update_reads, second_update_reads])
+def test_an_index_that_is_not_an_int_breaks_the_contract(kernel, index):
+    # 1.0 used to enter the plan: run_traced gave reads (1.0, 2), and
+    # verify_parallel and run_parallel ended in "list indices must be integers".
+    fn = kernel(index)
+    before = threading.active_count()
+    for call in (lambda: run_traced(fn, 4), lambda: verify_parallel(fn, 4),
+                 lambda: run_parallel(fn, [1, 2, 3, 4], OPS["add"], 2),
+                 lambda: ScanKernel("k", fn)(ListStore([1, 2, 3, 4]), OPS["add"])):
+        with pytest.raises(ContractError, match="has an index that is not an int"):
+            call()
+    assert threading.active_count() == before
+    good = kernel(1)
+    assert run_parallel(good, [1, 2, 3, 4], OPS["add"], 2) == \
+        ScanKernel("k", good)(ListStore([1, 2, 3, 4]), OPS["add"]).to_list()
 
 
 def test_other_stores_get_the_kernels_own_stream():

@@ -42,6 +42,7 @@ from scanforge.runtime import (
     run_virtual,
     speedup_model,
 )
+from scanforge.stores import ListStore
 from scanforge.tracing import max_depth, run_traced
 
 
@@ -531,6 +532,122 @@ def test_an_interrupted_caller_leaves_no_worker_waiting(idle):
     assert calls == [(3, 4)]  # task 3 saw task 2 skipped
     assert len(idle) == 1 and idle[0].thread.is_alive()  # shutdown waited for its job
     assert run_parallel(back_to_front, [1, 2, 3, 4], add, 2) == [1, 9, 12, 7]
+
+
+def test_a_call_does_not_wait_for_a_pool_thread_that_took_nothing(idle):
+    # The calling thread takes the program of a pool thread still busy with
+    # an earlier job; the call used to wait for that job to end.
+    release, started = threading.Event(), threading.Event()
+    worker = runtime._Worker()
+    worker.queue.put(lambda: (started.set(), release.wait(30)))
+    idle.append(worker)
+    assert started.wait(10)
+    vals = list(range(1, 65))
+    results = []
+    try:
+        in_caller_threads(lambda: results.append(run_parallel(SERIAL, vals, add, 2)), 1,
+                          timeout=10)
+        assert results == [list(accumulate(vals))]
+        assert idle == [worker] and not release.is_set()  # given back still busy
+    finally:
+        release.set()
+    threads = []
+
+    def where(a, b):
+        threads.append(threading.get_ident())
+        return a + b
+
+    # The caller waits on worker 2's task 1, so the pool thread runs program 2.
+    assert run_parallel(back_to_front, [1, 2, 3, 4], where, 2) == [1, 9, 12, 7]
+    assert threads[0] == worker.thread.ident and idle == [worker]
+
+
+def test_each_program_runs_exactly_once():
+    # The calling thread and each pool thread race to take the pool thread's
+    # program: one taken twice makes more operator calls than the plan has
+    # updates, and one taken by neither leaves cells unscanned, or hangs.
+    kernels = [SERIAL, BRENT_KUNG, scan_then_fan_kernel(3), scan_then_fan_kernel(8),
+               *(ScanKernel(name, fn) for name, fn in mutants.ALL.items())]
+    vals = [chr(0x100 + i) for i in range(23)]
+    calls, outcomes = [], []
+
+    def free(a, b):
+        calls.append(None)
+        return a + b
+
+    def sleeping(a, b):
+        calls.append(None)
+        time.sleep(0.0002)
+        return a + b
+
+    def run():
+        for kernel in kernels:
+            want = kernel(ListStore(vals), add).to_list()  # accumulate for the scans
+            updates = sum(segment[-1] for segment in _plan(kernel, len(vals)))
+            for op in (free, sleeping):
+                for workers in range(1, 9):
+                    calls.clear()
+                    got = run_parallel(kernel, vals, op, workers)
+                    outcomes.append((kernel.name, op.__name__, workers,
+                                     got == want, len(calls) == updates))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        in_caller_threads(run, 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(outcomes) == len(kernels) * 2 * 8
+    assert [o for o in outcomes if not all(o[3:])] == []
+    for kernel in kernels[:4]:
+        assert kernel(ListStore(vals), add).to_list() == list(accumulate(vals))
+
+
+def front_to_back(store, op):
+    """On 6 values and 3 workers: worker 1 has no task, task 1 runs on worker
+    3, task 2 on worker 2 waits on it, and task 3 on worker 3 on task 2."""
+    store.put(6, op(store.get(5), store.get(6)))
+    store.put(4, op(store.get(6), store.get(4)))
+    store.put(5, op(store.get(4), store.get(5)))
+    return store
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no signal.pthread_kill")
+def test_an_interrupted_caller_releases_the_programs_it_took(idle):
+    # Worker 2's pool thread is busy with an earlier job, so the calling
+    # thread takes program 2 and waits in it on worker 3's slow task 1. The
+    # interrupt must release task 2's lock, marked skipped, or worker 3
+    # would wait on it for ever; the call waits for worker 3, not worker 2.
+    assert threading.current_thread() is threading.main_thread()
+    main, calls = threading.main_thread().ident, []
+    release, started = threading.Event(), threading.Event()
+    busy = runtime._Worker()
+    busy.queue.put(lambda: (started.set(), release.wait(30)))
+    idle.append(busy)
+    assert started.wait(10)
+
+    def interrupting_add(a, b):
+        calls.append((a, b))
+        if len(calls) == 1:  # worker 3's task 1, which the calling thread waits on
+            time.sleep(0.2)
+            signal.pthread_kill(main, signal.SIGINT)
+            time.sleep(0.3)
+        return a + b
+
+    # A hung shutdown gets a second interrupt, so that the test fails, not hangs.
+    watchdog = threading.Timer(20, signal.pthread_kill, (main, signal.SIGINT))
+    watchdog.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_parallel(front_to_back, [1, 2, 3, 4, 5, 6], interrupting_add, 3)
+        assert not release.is_set()  # worker 2's job still runs
+    finally:
+        release.set()
+        watchdog.cancel()
+        watchdog.join(timeout=10)
+    assert calls == [(5, 6)]  # task 3 saw task 2 skipped
+    assert len(idle) == 2 and busy in idle and all(w.thread.is_alive() for w in idle)
+    assert run_parallel(front_to_back, [1, 2, 3, 4, 5, 6], add, 3) == [1, 2, 3, 15, 20, 11]
 
 
 def one_update_each(store, op):
